@@ -20,7 +20,6 @@ from .drawing import cross_section, render_svg
 from .errors import DomainError, SchemaError
 from .graphs import Graph
 from .subdivision import (
-    MonomialIdeal,
     factors_through,
     richness_ideal,
     smoothness_report,
@@ -64,22 +63,8 @@ def _parse_r(text: str):
     return int(text)
 
 
-def _threads() -> int:
-    raw = os.environ.get("RICHFAN_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("RICHFAN_THREADS must be a positive integer")
-    return n
-
-
 def _edge_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
-
-
-def _fan_obj(fan: Fan) -> dict:
-    return fan.to_obj()
 
 
 def _bool_exit(value: bool) -> int:
@@ -138,7 +123,7 @@ def _run_ideal(args) -> int:
 def _run_subdivide(args) -> int:
     g = Graph.from_obj(_load(args.input))
     fan = weakly_rich_fan(g, _parse_r(args.r))
-    _emit(_canonical(_fan_obj(fan)), args.out)
+    _emit(_canonical(fan.to_obj()), args.out)
     return EXIT_OK
 
 
@@ -233,7 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_SCHEMA if e.code not in (0,) else 0
     try:
-        _threads()
         return _HANDLERS[args.verb](args)
     except DomainError as e:
         sys.stderr.write(

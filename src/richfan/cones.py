@@ -8,12 +8,13 @@ Hilbert bases are all exact; no floats anywhere.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SchemaError
 from .intlinalg import (
     Vec,
     det,
@@ -141,16 +142,8 @@ def _reduce_mod_lines(v: Sequence[int], lines_hnf: Sequence[Vec]) -> Vec:
             f = x[c] / row[c]
             x = [xi - f * li for xi, li in zip(x, row)]
     assert any(x), "ray vanished into the lineality space"
-    den = 1
-    for xi in x:
-        den = den * xi.denominator // _gcd(den, xi.denominator)
+    den = math.lcm(*(xi.denominator for xi in x))
     return primitive(tuple(int(xi * den) for xi in x))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class Cone:
@@ -457,13 +450,26 @@ class Fan:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "Fan":
-        rank = int(obj["rank"])
-        cones = [
-            Cone.from_rays(rank, [tuple(map(int, r)) for r in c["rays"]])
-            for c in obj["cones"]
-        ]
-        return cls(rank, cones)
+    def from_obj(cls, obj: object) -> "Fan":
+        # type(...) is int, not isinstance: JSON true must not read as 1
+        if not isinstance(obj, dict):
+            raise SchemaError("fan document must be an object")
+        rank = obj.get("rank")
+        cones = obj.get("cones")
+        if type(rank) is not int or rank < 0:
+            raise SchemaError("fan.rank must be a nonnegative integer")
+        if not isinstance(cones, list):
+            raise SchemaError("fan.cones must be a list")
+        ray_lists = []
+        for c in cones:
+            rays = c.get("rays") if isinstance(c, dict) else None
+            if not isinstance(rays, list) or not all(
+                isinstance(v, list) and len(v) == rank and all(type(t) is int for t in v)
+                for v in rays
+            ):
+                raise SchemaError(f"each fan cone needs a list of integer rays of length {rank}")
+            ray_lists.append([tuple(v) for v in rays])
+        return cls(rank, [Cone.from_rays(rank, rays) for rays in ray_lists])
 
 
 def _is_face_of(face: Cone, cone: Cone) -> bool:

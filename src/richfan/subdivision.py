@@ -30,9 +30,7 @@ from .intlinalg import Vec
 from .monoids import MAX_DIVISOR_TUPLES, SharpMonoid, check_r, divisors
 
 _NP_THRESHOLD = 512
-_NP_VALUE_CAP = 1 << 60
-_SCREEN_WIDTHS = (64, 512, 4096)
-_STAGE_BOUNDS = (512, 4096, 32768)
+_VALUE_LIMIT = 1 << 62
 _BITSET_VMAX = 4096
 _BITSET_CELLS = 200_000_000
 _RICHNESS_CACHE_LIMIT = 20_000
@@ -41,7 +39,12 @@ _richness_cache: dict[tuple, "MonomialIdeal"] = {}
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal in N^rank, stored by its minimal generators."""
+    """A monomial ideal in N^rank, stored by its minimal generators.
+
+    Every exponent is below 2**62, so the sum of two exponents fits in int64.
+    from_generators rejects larger exponents and ideal_product rejects
+    products that would reach the limit, both with ValueError (CLI exit 2).
+    """
 
     rank: int
     generators: tuple[Vec, ...]
@@ -55,6 +58,8 @@ class MonomialIdeal:
                 raise DimensionMismatch("generator length does not match rank")
             if any(t < 0 for t in v):
                 raise ValueError("monomial exponents must be nonnegative")
+            if any(t >= _VALUE_LIMIT for t in v):
+                raise ValueError("monomial exponents must be below 2**62")
             vs.append(v)
         if not vs:
             raise ValueError("a monomial ideal needs at least one generator")
@@ -92,11 +97,12 @@ def _minimalize(rank: int, cands: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
     uniq = sorted(set(tuple(v) for v in cands))
     if len(uniq) <= _NP_THRESHOLD or rank == 0:
         return _minimalize_small(uniq)
-    arr = np.array(uniq, dtype=np.int64)
-    if arr.size and int(arr.max()) >= _NP_VALUE_CAP:
-        return _minimalize_small(uniq)
-    kept = _pareto_np(arr)
-    return tuple(sorted(tuple(int(t) for t in row) for row in kept.tolist()))
+    return _gens(_pareto_np(np.array(uniq, dtype=np.int64)))
+
+
+def _gens(arr: "np.ndarray") -> tuple[Vec, ...]:
+    """The rows of an int64 array as lex-sorted generator tuples."""
+    return tuple(sorted(map(tuple, arr.tolist())))
 
 
 def _minimalize_small(uniq: list[Vec]) -> tuple[Vec, ...]:
@@ -132,31 +138,20 @@ def _bitset_kill(
     nbits: int,
     k: int,
 ) -> None:
-    """Clear alive flags for rows dominated by a folded kept row, testing the
-    folded prefix in geometrically growing byte ranges so early kept rows (the
-    strongest dominators) are consulted at the smallest width."""
-    lo = 0
-    for bound in _STAGE_BOUNDS + (nbits,):
-        hi = min(bound, nbits)
-        if hi <= lo:
-            continue
-        lo8, hi8 = lo >> 3, (hi + 7) >> 3
-        idx = np.flatnonzero(alive)
-        if not idx.size:
-            return
-        chunk = max(256, 4_000_000 // (hi8 - lo8))
-        for c0 in range(0, idx.size, chunk):
-            ii = idx[c0 : c0 + chunk]
-            sub = block[ii]
-            acc = bits[0][sub[:, 0], lo8:hi8]
-            for j in range(1, k):
-                acc &= bits[j][sub[:, j], lo8:hi8]
-            dom = acc.any(axis=1)
-            if dom.any():
-                alive[ii[dom]] = False
-        lo = hi
-        if hi == nbits:
-            return
+    """Clear alive flags for rows dominated by one of the first nbits kept
+    rows, the ones folded into the bit tables (nbits is a multiple of 8)."""
+    idx = np.flatnonzero(alive)
+    width = nbits >> 3
+    chunk = max(256, 4_000_000 // width)
+    for c0 in range(0, idx.size, chunk):
+        ii = idx[c0 : c0 + chunk]
+        sub = block[ii]
+        acc = bits[0][sub[:, 0], :width]
+        for j in range(1, k):
+            acc &= bits[j][sub[:, j], :width]
+        dom = acc.any(axis=1)
+        if dom.any():
+            alive[ii[dom]] = False
 
 
 def _direct_kill(
@@ -181,7 +176,8 @@ def _pareto_np(arr: "np.ndarray") -> "np.ndarray":
     relate, so each level is deduplicated after screening instead of sorting
     the whole input up front.  Screening against the kept rows runs on packed
     bit tables (one per coordinate, indexed by threshold) when values are
-    small, with a dense compare for the not-yet-folded tail.
+    small, with a dense compare for the not-yet-folded tail; otherwise every
+    kept row goes through the dense compare.
     """
     n, k = arr.shape
     if k == 0:
@@ -207,16 +203,7 @@ def _pareto_np(arr: "np.ndarray") -> "np.ndarray":
             alive = np.ones(block.shape[0], dtype=bool)
             if bits is not None:
                 _bitset_kill(block, alive, bits, nbits, k)
-                _direct_kill(block, alive, kept[nbits:nk])
-            else:
-                lo = 0
-                for width in _SCREEN_WIDTHS + (nk,):
-                    hi = min(width, nk)
-                    if hi > lo:
-                        _direct_kill(block, alive, kept[lo:hi])
-                        lo = hi
-                    if not alive.any() or hi == nk:
-                        break
+            _direct_kill(block, alive, kept[nbits:nk])
             block = np.unique(block[alive], axis=0)
         else:
             block = np.unique(block, axis=0)
@@ -245,14 +232,13 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
         raise DimensionMismatch("ideals live in different ranks")
     rank = a.rank
     ga, gb = a.generators, b.generators
+    if rank and max(map(max, ga)) + max(map(max, gb)) >= _VALUE_LIMIT:
+        raise ValueError("product exponents would reach 2**62")
     if len(ga) * len(gb) > 4096:
         arr_a = np.array(ga, dtype=np.int64)
         arr_b = np.array(gb, dtype=np.int64)
-        if int(arr_a.max(initial=0)) + int(arr_b.max(initial=0)) < _NP_VALUE_CAP:
-            sums = (arr_a[:, None, :] + arr_b[None, :, :]).reshape(-1, rank)
-            kept = _pareto_np(sums)
-            gens = tuple(sorted(tuple(int(t) for t in row) for row in kept.tolist()))
-            return MonomialIdeal(rank, gens)
+        sums = (arr_a[:, None, :] + arr_b[None, :, :]).reshape(-1, rank)
+        return MonomialIdeal(rank, _gens(_pareto_np(sums)))
     cands = [tuple(x + y for x, y in zip(u, v)) for u in ga for v in gb]
     return MonomialIdeal(rank, _minimalize(rank, cands))
 
@@ -294,10 +280,7 @@ def pullback_to_contraction(i: MonomialIdeal, s: Iterable[int]) -> MonomialIdeal
     rank = len(keep)
     if len(i.generators) > _NP_THRESHOLD:
         arr = np.array(i.generators, dtype=np.int64)[:, keep]
-        if not arr.size or int(arr.max(initial=0)) < _NP_VALUE_CAP:
-            kept = _pareto_np(arr)
-            gens = tuple(sorted(tuple(int(t) for t in row) for row in kept.tolist()))
-            return MonomialIdeal(rank, gens)
+        return MonomialIdeal(rank, _gens(_pareto_np(arr)))
     gens_py = [tuple(g[j] for j in keep) for g in i.generators]
     return MonomialIdeal(rank, _minimalize(rank, gens_py))
 
@@ -454,16 +437,8 @@ def _cut_template(size: int, r: int) -> MonomialIdeal:
         raise ValueError(
             f"cut of size {size} needs {len(divs) ** size} divisor tuples for r={r}"
         )
-    # every divisor tuple can load the same coordinate, so values reach r*d**size
-    if r * len(divs) ** size >= _NP_VALUE_CAP:
-        factors = []
-        for lam in product(divs, repeat=size):
-            gens = [tuple(lam[j] if t == j else 0 for t in range(size)) for j in range(size)]
-            factors.append(MonomialIdeal(size, tuple(sorted(gens))))
-        return ideal_product_many(size, factors)
     full = _expand_rows(_cut_template_reps(size, r), (tuple(range(size)),))
-    gens = tuple(sorted(tuple(int(t) for t in row) for row in full.tolist()))
-    return MonomialIdeal(size, gens)
+    return MonomialIdeal(size, _gens(full))
 
 
 def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
@@ -492,9 +467,9 @@ def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
     divs = divisors(r)
     if any(len(divs) ** k > MAX_DIVISOR_TUPLES for k in sizes):
         raise ValueError(f"cut sizes {sorted(sizes)} too large for r={r}")
-    value_bound = sum(r * len(divs) ** len(c) for c in cuts)
-    if value_bound >= _NP_VALUE_CAP or n == 1:
-        return _richness_ideal_generic(g, r, pos, n)
+    # every divisor tuple of a cut can load one coordinate: r*d**|cut| each
+    if sum(r * len(divs) ** len(c) for c in cuts) >= _VALUE_LIMIT:
+        raise ValueError(f"exponents of the richness ideal could reach 2**62 at r={r}")
     # big cuts first: their expensive templates multiply while the frontier is
     # small, and the cheap pair templates land on compressed representatives
     supports = sorted(
@@ -532,28 +507,10 @@ def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
             pieces.append(_pareto_np(_block_canon(part, new_blocks)))
         cur = pieces[0] if len(pieces) == 1 else _pareto_np(np.concatenate(pieces))
         old_blocks = new_blocks
-    full = _expand_rows(cur, old_blocks)
-    gens = tuple(sorted(tuple(int(t) for t in row) for row in full.tolist()))
-    out = MonomialIdeal(n, gens)
-    if len(gens) <= _RICHNESS_CACHE_LIMIT:
+    out = MonomialIdeal(n, _gens(_expand_rows(cur, old_blocks)))
+    if len(out.generators) <= _RICHNESS_CACHE_LIMIT:
         _richness_cache[cache_key] = out
     return out
-
-
-def _richness_ideal_generic(
-    g: Graph, r: int, pos: Mapping[int, int], n: int
-) -> MonomialIdeal:
-    parts = []
-    for cut in g.cuts():
-        template = _cut_template(len(cut), r)
-        gens = []
-        for tgen in template.generators:
-            w = [0] * n
-            for j, e in enumerate(sorted(cut)):
-                w[pos[e]] = tgen[j]
-            gens.append(tuple(w))
-        parts.append(MonomialIdeal(n, tuple(sorted(gens))))
-    return ideal_product_many(n, parts)
 
 
 def newton_subdivision(i: MonomialIdeal) -> Fan:

@@ -151,6 +151,22 @@ class TestIdealAndFan:
         out = json.loads(capsys.readouterr().out)
         assert out["valid"] is False
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rank": 3},
+            {"rank": -1, "cones": []},
+            {"rank": 2, "cones": [{"rays": [[1, 0], [True, 1]]}]},
+            {"rank": 2, "cones": [{"rays": [[1, 0, 0]]}]},
+        ],
+    )
+    def test_verify_rejects_malformed_fan(self, tmp_path, capsys, doc):
+        p = write(tmp_path, "fan.json", doc)
+        assert main(["verify-fan", p]) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "SchemaError"
+        assert err.count("\n") == 1
+
     def test_smoothness_r1(self, triangle_path, capsys):
         assert main(["smoothness", "--r", "1", triangle_path]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -229,22 +245,6 @@ class TestOutputDiscipline:
         assert first.endswith("\n")
         # canonical form: no spaces, sorted keys
         assert ": " not in first and ", " not in first
-
-    def test_deterministic_across_thread_env(
-        self, triangle_path, tmp_path, monkeypatch
-    ):
-        a = str(tmp_path / "a.json")
-        b = str(tmp_path / "b.json")
-        monkeypatch.setenv("RICHFAN_THREADS", "1")
-        main(["subdivide", "--r", "2", triangle_path, "--out", a])
-        monkeypatch.setenv("RICHFAN_THREADS", "8")
-        main(["subdivide", "--r", "2", triangle_path, "--out", b])
-        assert open(a).read() == open(b).read()
-
-    def test_bad_thread_env(self, triangle_path, monkeypatch, capsys):
-        monkeypatch.setenv("RICHFAN_THREADS", "0")
-        assert main(["cuts", triangle_path]) == 2
-        capsys.readouterr()
 
     def test_out_file_written_atomically(self, triangle_path, tmp_path):
         out = tmp_path / "cuts.json"

@@ -3,6 +3,7 @@
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,13 +34,28 @@ from richfan.errors import (
     NotMinimalOrder,
     UnknownCoordinate,
 )
-from richfan.subdivision import _cut_template, _minimalize, _richness_ideal_generic
+from richfan import subdivision
+from richfan.monoids import divisors
+from richfan.subdivision import _cut_template, _minimalize, _pareto_np
 
 
 def generic_richness(g: Graph, r: int) -> MonomialIdeal:
+    """Reference route, straight from the definition: the product, over every
+    cut and every divisor tuple lam of r on it, of the ideal generated by
+    lam_e * x_e for the edges e of the cut."""
     ids = g.sorted_edge_ids()
     pos = {e: i for i, e in enumerate(ids)}
-    return _richness_ideal_generic(g, r, pos, len(ids))
+    n = len(ids)
+    parts = []
+    for cut in g.cuts():
+        for lam in product(divisors(r), repeat=len(cut)):
+            gens = []
+            for d, e in zip(lam, sorted(cut)):
+                w = [0] * n
+                w[pos[e]] = d
+                gens.append(tuple(w))
+            parts.append(MonomialIdeal.from_generators(n, gens))
+    return ideal_product_many(n, parts)
 
 
 TRIANGLE_R1 = {
@@ -85,6 +101,37 @@ class TestMonomialIdeal:
     @settings(max_examples=150, deadline=None)
     def test_minimalize_matches_brute_force(self, gens):
         assert set(_minimalize(3, gens)) == brute_minimal(gens)
+
+    @pytest.mark.parametrize("scale", [1, 7, 300, 5000, 1 << 40])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_pareto_np_matches_brute_force(self, scale, k):
+        # antichains on a few sum levels, plus dominated and repeated rows.
+        # Values reach 8 * scale: the kept rows fold into bit tables up to
+        # scale 300, and only the dense compare runs above that
+        rng = np.random.default_rng(100 * k + scale % 97)
+        rows = []
+        for level in (4, 5, 6):
+            for _ in range(40):
+                cut = np.sort(rng.integers(0, level + 1, size=k - 1))
+                rows.append(np.diff(np.r_[0, cut, level]))
+        rows = np.array(rows, dtype=np.int64)
+        dominated = rows[rng.integers(0, len(rows), 80)] + rng.integers(0, 3, (80, k))
+        arr = np.concatenate([rows, dominated, rows[:20]]) * scale
+        arr = arr[rng.permutation(len(arr))]
+        got = [tuple(row) for row in _pareto_np(arr).tolist()]
+        assert len(got) == len(set(got))
+        assert set(got) == brute_minimal([tuple(row) for row in arr.tolist()])
+
+    def test_exponent_limit_rejected(self):
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_generators(1, [(1 << 62,)])
+
+    def test_product_reaching_limit_rejected(self):
+        big = MonomialIdeal.from_generators(1, [(1 << 61,)])
+        with pytest.raises(ValueError):
+            ideal_product(big, big)
+        below = MonomialIdeal.from_generators(1, [((1 << 61) - 1,)])
+        assert ideal_product(big, below).generators == (((1 << 62) - 1,),)
 
     @given(
         st.lists(
@@ -156,11 +203,20 @@ class TestRichnessIdeal:
         assert set(richness_ideal(twogon, 1).generators) == {(1, 0), (0, 1)}
 
     def test_bridge_principal(self, bridge):
-        assert richness_ideal(bridge, 1).generators == ((1,),)
+        # one cut {e}: the product of lam * x_e over the divisors lam of r
+        for r, sigma in ((1, 1), (2, 3), (6, 12), (12, 28), (720, 2418)):
+            assert richness_ideal(bridge, r).generators == ((sigma,),), r
 
     def test_loop_gives_unit(self, loop_graph):
         # loops enter no cut, so the product is empty
         assert richness_ideal(loop_graph, 1).generators == ((0,),)
+
+    def test_exponent_bound_checked_up_front(self, triangle, monkeypatch):
+        # the caps on r and divisor tuples keep real inputs below 2**62, so a
+        # lowered limit stands in: three 2-edge cuts at r=2 bound 3 * 2 * 2**2
+        monkeypatch.setattr(subdivision, "_VALUE_LIMIT", 24)
+        with pytest.raises(ValueError):
+            richness_ideal(triangle, 2)
 
     def test_infinite_r_rejected(self, triangle):
         from richfan import INF
@@ -182,6 +238,13 @@ class TestRichnessIdeal:
             fast = set(richness_ideal(g, r).generators)
             slow = set(generic_richness(g, r).generators)
             assert fast == slow, (g.to_obj(), r)
+
+    def test_symmetric_route_matches_generic_census(self):
+        # every graph with at most 3 edges, one-edge graphs included
+        for g in small_connected_graphs(3):
+            for r in (1, 2, 3):
+                fast = richness_ideal(g, r).generators
+                assert fast == generic_richness(g, r).generators, (g.to_obj(), r)
 
     def test_cut_template_matches_generic(self):
         # one cut of size k: the template equals the direct tuple product
