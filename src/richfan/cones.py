@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, SchemaError
+from .errors import DimensionMismatch, SchemaError, is_int, is_int_vector
 from .intlinalg import (
     Vec,
     det,
@@ -451,22 +451,18 @@ class Fan:
 
     @classmethod
     def from_obj(cls, obj: object) -> "Fan":
-        # type(...) is int, not isinstance: JSON true must not read as 1
         if not isinstance(obj, dict):
             raise SchemaError("fan document must be an object")
         rank = obj.get("rank")
         cones = obj.get("cones")
-        if type(rank) is not int or rank < 0:
+        if not is_int(rank) or rank < 0:
             raise SchemaError("fan.rank must be a nonnegative integer")
         if not isinstance(cones, list):
             raise SchemaError("fan.cones must be a list")
         ray_lists = []
         for c in cones:
             rays = c.get("rays") if isinstance(c, dict) else None
-            if not isinstance(rays, list) or not all(
-                isinstance(v, list) and len(v) == rank and all(type(t) is int for t in v)
-                for v in rays
-            ):
+            if not isinstance(rays, list) or not all(is_int_vector(v, rank) for v in rays):
                 raise SchemaError(f"each fan cone needs a list of integer rays of length {rank}")
             ray_lists.append([tuple(v) for v in rays])
         return cls(rank, [Cone.from_rays(rank, rays) for rays in ray_lists])

@@ -16,6 +16,8 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
     UnknownEdge,
+    is_int,
+    is_int_vector,
 )
 from .graphs import Graph
 from .intlinalg import Vec, dot, hnf_rows, integer_kernel, is_zero, vsub
@@ -258,7 +260,7 @@ class TropicalCurve:
                 eid = int(k)
             except ValueError:
                 raise SchemaError(f"length key {k!r} is not an edge id") from None
-            if not isinstance(v, list) or not all(isinstance(t, int) for t in v):
+            if not is_int_vector(v):
                 raise SchemaError("each length must be an integer vector")
             lengths[eid] = tuple(v)
         if set(lengths.keys()) != set(graph.edge_ids):
@@ -370,17 +372,14 @@ class RealFamily:
             raise SchemaError("family.sigma_lines must be a list of integer vectors")
         vecs = rays + lines
         if vecs:
-            m = None
-            for r in vecs:
-                if not isinstance(r, list) or not all(isinstance(t, int) for t in r):
-                    raise SchemaError("family.sigma rays/lines must be integer vectors")
-                if m is None:
-                    m = len(r)
-                elif len(r) != m:
-                    raise SchemaError("family.sigma rays/lines must share a dimension")
+            if not all(map(is_int_vector, vecs)):
+                raise SchemaError("family.sigma rays/lines must be integer vectors")
+            m = len(vecs[0])
+            if any(len(r) != m for r in vecs):
+                raise SchemaError("family.sigma rays/lines must share a dimension")
         else:
             m = obj.get("sigma_rank")
-            if not isinstance(m, int) or m < 0:
+            if not is_int(m) or m < 0:
                 raise SchemaError("family without rays needs sigma_rank")
         cone = Cone.from_rays(m, [tuple(r) for r in rays], [tuple(l) for l in lines])
         rows = obj.get("length_map")
@@ -388,11 +387,7 @@ class RealFamily:
             raise SchemaError("family.length_map needs one row per edge, in edge order")
         mapping = {}
         for e, row in zip(graph.edges, rows):
-            if (
-                not isinstance(row, list)
-                or len(row) != m
-                or not all(isinstance(t, int) for t in row)
-            ):
+            if not is_int_vector(row, m):
                 raise SchemaError("each length_map row must be an integer vector")
             mapping[e.id] = tuple(row)
         try:

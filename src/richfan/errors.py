@@ -13,6 +13,16 @@ class SchemaError(Exception):
     """Input document does not match the expected JSON shape."""
 
 
+def is_int(x: object) -> bool:
+    """A JSON integer: an int but not a bool, so that true never reads as 1."""
+    return type(x) is int
+
+
+def is_int_vector(v: object, length: int | None = None) -> bool:
+    """A JSON list of integers (see is_int), of the given length if any."""
+    return isinstance(v, list) and length in (None, len(v)) and all(map(is_int, v))
+
+
 class DisconnectedGraph(DomainError):
     pass
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DisconnectedGraph, SchemaError, UnknownEdge
+from .errors import DisconnectedGraph, SchemaError, UnknownEdge, is_int, is_int_vector
 
 MAX_CUT_VERTICES = 22  # 2^(n-1) bipartitions are enumerated
 
@@ -236,7 +236,7 @@ class Graph:
             raise SchemaError("graph document must be an object")
         verts = obj.get("vertices")
         edges = obj.get("edges")
-        if not isinstance(verts, list) or not all(isinstance(v, int) for v in verts):
+        if not is_int_vector(verts):
             raise SchemaError("graph.vertices must be a list of integers")
         if len(set(verts)) != len(verts):
             raise SchemaError("graph.vertices must be distinct")
@@ -248,10 +248,8 @@ class Graph:
         for e in edges:
             if (
                 not isinstance(e, dict)
-                or not isinstance(e.get("id"), int)
-                or not isinstance(e.get("ends"), list)
-                or len(e["ends"]) != 2
-                or not all(isinstance(x, int) for x in e["ends"])
+                or not is_int(e.get("id"))
+                or not is_int_vector(e.get("ends"), 2)
             ):
                 raise SchemaError("each edge needs an integer id and a 2-element ends list")
             if e["id"] in seen:

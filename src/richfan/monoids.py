@@ -14,7 +14,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from . import cones
-from .errors import AllZero, EmptySet, NotAMember, NotRClose, SchemaError
+from .errors import AllZero, EmptySet, NotAMember, NotRClose, SchemaError, is_int, is_int_vector
 from .intlinalg import Vec, is_zero, primitive, vec_gcd, vsub
 
 INF = math.inf
@@ -27,7 +27,7 @@ def check_r(r, allow_inf: bool = True) -> None:
         if not allow_inf:
             raise ValueError("this predicate needs a finite r")
         return
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+    if not is_int(r) or r < 1:
         raise ValueError("r must be a positive integer or infinity")
     if r > MAX_R:
         raise ValueError(f"r larger than {MAX_R} is not supported")
@@ -192,17 +192,12 @@ class SharpMonoid:
             raise SchemaError("monoid document must be an object")
         rank = obj.get("rank")
         rays = obj.get("rays")
-        if not isinstance(rank, int) or rank < 0:
+        if not is_int(rank) or rank < 0:
             raise SchemaError("monoid.rank must be a nonnegative integer")
         if not isinstance(rays, list):
             raise SchemaError("monoid.rays must be a list of integer vectors")
-        for ray in rays:
-            if (
-                not isinstance(ray, list)
-                or len(ray) != rank
-                or not all(isinstance(t, int) for t in ray)
-            ):
-                raise SchemaError("each monoid ray must be an integer vector of full rank length")
+        if not all(is_int_vector(ray, rank) for ray in rays):
+            raise SchemaError("each monoid ray must be an integer vector of full rank length")
         cone = cones.Cone.from_rays(rank, [tuple(r) for r in rays])
         if cone.lines:
             raise SchemaError("monoid rays must span a strongly convex cone")

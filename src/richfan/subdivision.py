@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cones import Cone, Fan, is_unimodular, unit
+from .cones import Cone, Fan, double_description, is_unimodular, unit
 from .curves import RealFamily
 from .errors import (
     DimensionMismatch,
@@ -24,9 +24,11 @@ from .errors import (
     NotMinimalOrder,
     SchemaError,
     UnknownCoordinate,
+    is_int,
+    is_int_vector,
 )
 from .graphs import Graph
-from .intlinalg import Vec
+from .intlinalg import Vec, dot, rank_of
 from .monoids import MAX_DIVISOR_TUPLES, SharpMonoid, check_r, divisors
 
 _NP_THRESHOLD = 512
@@ -78,17 +80,12 @@ class MonomialIdeal:
             raise SchemaError("ideal document must be an object")
         rank = obj.get("rank")
         gens = obj.get("generators")
-        if not isinstance(rank, int) or rank < 0:
+        if not is_int(rank) or rank < 0:
             raise SchemaError("ideal.rank must be a nonnegative integer")
         if not isinstance(gens, list) or not gens:
             raise SchemaError("ideal.generators must be a nonempty list")
-        for g in gens:
-            if (
-                not isinstance(g, list)
-                or len(g) != rank
-                or not all(isinstance(t, int) and t >= 0 for t in g)
-            ):
-                raise SchemaError("each generator must be a nonnegative integer vector")
+        if not all(is_int_vector(g, rank) and min(g, default=0) >= 0 for g in gens):
+            raise SchemaError("each generator must be a nonnegative integer vector")
         return MonomialIdeal.from_generators(rank, [tuple(g) for g in gens])
 
 
@@ -426,8 +423,10 @@ def _cut_template_reps(size: int, r: int) -> "np.ndarray":
 
 
 @lru_cache(maxsize=None)
-def _cut_template(size: int, r: int) -> MonomialIdeal:
-    """Per-cut ideal in rank `size`: product over divisor tuples of r.
+def _cut_template_rows(size: int, r: int) -> "np.ndarray":
+    """Minimal generators of the per-cut ideal in rank `size` (the product over
+    divisor tuples of r), as a lex-sorted, read-only int64 array;
+    _cut_template gives it as a MonomialIdeal.
 
     Depends on the cut only through its size, up to coordinate permutation,
     so templates are shared across cuts and graphs.
@@ -437,8 +436,13 @@ def _cut_template(size: int, r: int) -> MonomialIdeal:
         raise ValueError(
             f"cut of size {size} needs {len(divs) ** size} divisor tuples for r={r}"
         )
-    full = _expand_rows(_cut_template_reps(size, r), (tuple(range(size)),))
-    return MonomialIdeal(size, _gens(full))
+    full = np.unique(_expand_rows(_cut_template_reps(size, r), (tuple(range(size)),)), axis=0)
+    full.flags.writeable = False
+    return full
+
+
+def _cut_template(size: int, r: int) -> MonomialIdeal:
+    return MonomialIdeal(size, tuple(map(tuple, _cut_template_rows(size, r).tolist())))
 
 
 def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
@@ -480,7 +484,6 @@ def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
     hit = _richness_cache.get(cache_key)
     if hit is not None:
         return hit
-    templates = {k: np.array(_cut_template(k, r).generators, dtype=np.int64) for k in sizes}
     cur = np.zeros((1, n), dtype=np.int64)
     old_blocks: Blocks = (tuple(range(n)),)
     seen: list[frozenset] = []
@@ -498,7 +501,7 @@ def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
             # suffice, the class symmetry restores the rest
             fac = _embed_rows(_cut_template_reps(len(s), r), tuple(sorted(s)), n)
         else:
-            rows = [_embed_rows(templates[len(s)], img, n) for img in images]
+            rows = [_embed_rows(_cut_template_rows(len(s), r), img, n) for img in images]
             fac = rows[0] if len(rows) == 1 else np.concatenate(rows)
         pieces = []
         step = max(1, 4_000_000 // max(1, fac.shape[0]))
@@ -516,21 +519,21 @@ def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
 def newton_subdivision(i: MonomialIdeal) -> Fan:
     """Linearity domains of x -> min over generators of <m, x> on the orthant.
 
-    One candidate cone per generator; only the full-dimensional ones are kept
-    (a minimal generator need not be a vertex of the Newton polyhedron).
+    One double description in rank n+1, of the inequalities (1, m) for every
+    generator m and (0, e_j) for every coordinate j, gives the dual of the
+    homogenized Newton polyhedron: full dimensional and pointed, with the
+    facet normals (a0, a) as extreme rays.  The domain of m is the image under
+    (a0, a) -> a of the face tight at (1, m).  The map is injective on
+    a0 = -<a, m> and keeps rays primitive (a0 is an integer combination of a),
+    so the sorted tight rays are the canonical rays of Cone.from_inequalities.
+    A generator that is not a vertex has a lower-dimensional domain (a face
+    of a vertex's domain, or the origin), and is dropped.
     """
     n = i.rank
-    cones = []
-    for m in i.generators:
-        ineqs = [unit(n, j) for j in range(n)]
-        for m2 in i.generators:
-            if m2 is m:
-                continue
-            ineqs.append(tuple(a - b for a, b in zip(m2, m)))
-        c = Cone.from_inequalities(n, ineqs)
-        if c.dim() == n:
-            cones.append(c)
-    return Fan(n, cones)
+    homog = [(1,) + m for m in i.generators]
+    _, dual_rays = double_description(n + 1, homog + [unit(n + 1, j + 1) for j in range(n)])
+    tights = (sorted(r[1:] for r in dual_rays if dot(r, h) == 0) for h in homog)
+    return Fan(n, [Cone(n, tuple(t), ()) for t in tights if rank_of(t) == n])
 
 
 # -- choice functions ---------------------------------------------------------

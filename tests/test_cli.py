@@ -81,6 +81,28 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SchemaError"
 
+    @pytest.mark.parametrize(
+        "verb, doc",
+        [
+            ("cuts", {"vertices": [0, 1], "edges": [{"id": True, "ends": [0, 1]}]}),
+            ("cuts", {"vertices": [0, 1], "edges": [{"id": 0, "ends": [False, 1]}]}),
+            ("subdivide", {"vertices": [True, 2], "edges": []}),
+            ("check-rich", dict(TRIANGLE, monoid={"rank": 1, "rays": [[True]]},
+                                lengths={"0": [1], "1": [1], "2": [1]})),
+            ("check-rich", dict(TRIANGLE, monoid={"rank": 1, "rays": [[1]]},
+                                lengths={"0": [True], "1": [1], "2": [1]})),
+            ("factors", dict(TRIANGLE, sigma_rays=[[1]], length_map=[[True], [1], [1]])),
+        ],
+    )
+    def test_bool_is_not_an_integer(self, tmp_path, capsys, verb, doc):
+        # JSON true must not read as 1 in any reader
+        p = write(tmp_path, "bool.json", doc)
+        args = [verb, p] if verb == "cuts" else [verb, "--r", "1", p]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "SchemaError"
+        assert err.count("\n") == 1
+
     def test_unknown_verb(self):
         assert main(["frobnicate", "x.json"]) == 2
 

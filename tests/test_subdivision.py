@@ -32,6 +32,7 @@ from richfan.errors import (
     DimensionMismatch,
     InvalidChoice,
     NotMinimalOrder,
+    SchemaError,
     UnknownCoordinate,
 )
 from richfan import subdivision
@@ -56,6 +57,24 @@ def generic_richness(g: Graph, r: int) -> MonomialIdeal:
                 gens.append(tuple(w))
             parts.append(MonomialIdeal.from_generators(n, gens))
     return ideal_product_many(n, parts)
+
+
+def newton_reference(i: MonomialIdeal) -> Fan:
+    """Reference route for newton_subdivision: one double description per
+    generator m, cutting the orthant by <m' - m, x> >= 0 for every other
+    generator m', keeping the full-dimensional cones."""
+    n = i.rank
+    cones = []
+    for m in i.generators:
+        ineqs = [unit(n, j) for j in range(n)]
+        for m2 in i.generators:
+            if m2 is m:
+                continue
+            ineqs.append(tuple(a - b for a, b in zip(m2, m)))
+        c = Cone.from_inequalities(n, ineqs)
+        if c.dim() == n:
+            cones.append(c)
+    return Fan(n, cones)
 
 
 TRIANGLE_R1 = {
@@ -86,6 +105,17 @@ class TestMonomialIdeal:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             MonomialIdeal.from_generators(2, [(1, -1)])
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rank": 1, "generators": [[True]]},
+            {"rank": True, "generators": [[1]]},
+        ],
+    )
+    def test_from_obj_rejects_bool(self, doc):
+        with pytest.raises(SchemaError):
+            MonomialIdeal.from_obj(doc)
 
     def test_wrong_rank_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -343,6 +373,47 @@ class TestNewtonSubdivision:
             left = newton_subdivision(ideal_product(a, b))
             right = newton_subdivision(a).refine(newton_subdivision(b))
             assert {c.rays for c in left.cones} == {c.rays for c in right.cones}
+
+    def test_matches_reference_random(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            rank = rng.randint(0, 4)
+            gens = [
+                tuple(rng.randint(0, 5) for _ in range(rank))
+                for _ in range(rng.randint(1, 12))
+            ]
+            i = MonomialIdeal.from_generators(rank, gens)
+            assert newton_subdivision(i) == newton_reference(i), i
+
+    def test_matches_reference_unit(self):
+        for n in range(4):
+            i = MonomialIdeal.unit(n)
+            fan = newton_subdivision(i)
+            assert fan == newton_reference(i)
+            assert len(fan.cones) == 1
+
+    def test_matches_reference_census(self):
+        checked = 0
+        for g in small_connected_graphs(4):
+            if not g.edges:
+                continue
+            for r in (1, 2):
+                i = richness_ideal(g, r)
+                if len(i.generators) <= 300:
+                    assert newton_subdivision(i) == newton_reference(i), (g, r)
+                    checked += 1
+        assert checked > 50
+
+    def test_four_cycle_r2(self):
+        square = Graph.build(
+            [0, 1, 2, 3], [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)]
+        )
+        fan = weakly_rich_fan(square, 2)
+        assert len(fan.cones) == 336
+        assert fan.is_complete_on_orthant()
+
+    def test_theta_r4(self, theta):
+        assert len(weakly_rich_fan(theta, 4).cones) == 39
 
 
 class TestChoiceFunctions:
