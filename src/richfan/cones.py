@@ -19,11 +19,12 @@ from .intlinalg import (
     Vec,
     det,
     dot,
+    hnf_rows,
     is_zero,
     primitive,
     rank_of,
     saturated_span,
-    solve_fraction,
+    vscale,
     vsub,
 )
 
@@ -286,45 +287,47 @@ class Cone:
 
 
 def is_unimodular(cone: Cone) -> bool:
-    """Do the extremal rays form a lattice basis of the span's lattice?"""
+    """Do the extremal rays form a basis of the lattice S = span(rays) cap Z^n?
+
+    Never for a cone with lines.  For a pointed cone with k rays in rank n:
+    k == n needs |det| == 1, k > n fails, and k < n needs the rays to be
+    independent (k Hermite rows) and to generate S.  The Hermite bases of
+    the rays' lattice L and of S share their pivot columns, and projecting on
+    those columns shows [S : L] = prod(pivots of L) / prod(pivots of S).
+    Independence matters: the rays (x, y, 1, 0, 0), x, y in {0, 1}, generate
+    the saturated Z^3 x 0 x 0 but are four vectors.
+    """
     if cone.lines:
         return False
-    span = saturated_span(cone.rays)
-    if len(cone.rays) != len(span):
+    rays = cone.rays
+    k, n = len(rays), cone.rank
+    if k == n:
+        return abs(det(rays)) == 1
+    if k > n:
         return False
-    if not span:
-        return True
-    coords = [lattice_coords(span, r) for r in cone.rays]
-    return abs(det(coords)) == 1
+    basis = hnf_rows(rays)
+    return len(basis) == k and _pivot_product(basis) == _pivot_product(saturated_span(rays))
 
 
-def lattice_coords(basis_rows: Sequence[Vec], v: Sequence[int]) -> Vec:
-    """Coordinates of v in a saturated lattice basis (must be integral)."""
-    rows = [[basis_rows[j][i] for j in range(len(basis_rows))] for i in range(len(v))]
-    x = solve_fraction(rows, list(v))
-    assert x is not None, "vector outside the lattice span"
-    assert all(t.denominator == 1 for t in x), "vector outside the saturated lattice"
-    return tuple(int(t) for t in x)
+def _pivot_product(echelon: Sequence[Vec]) -> int:
+    return math.prod(next(x for x in row if x) for row in echelon)
 
 
 def hilbert_basis(cone: Cone, cap: int = 4_000_000) -> list[Vec]:
     """Minimal generating set of cone cap Z^n (pointed cones only).
 
-    Irreducible elements live in the zonotope spanned by the extremal rays, so
-    candidates are enumerated from its bounding box and reduced pairwise.  A
-    square unimodular ray matrix short-circuits the enumeration.
+    A unimodular cone's monoid is free on its rays, which are then the basis.
+    Otherwise irreducible elements live in the zonotope spanned by the rays,
+    so candidates are enumerated from its bounding box and reduced pairwise.
     """
     if cone.lines:
         raise ValueError("hilbert basis needs a pointed cone")
     rays = cone.rays
     if not rays:
         return []
+    if is_unimodular(cone):
+        return sorted(rays)
     n = cone.rank
-    span = saturated_span(rays)
-    if len(rays) == len(span):
-        coords = [lattice_coords(span, r) for r in rays]
-        if abs(det(coords)) == 1:
-            return sorted(rays)
     lo = [sum(min(r[i], 0) for r in rays) for i in range(n)]
     hi = [sum(max(r[i], 0) for r in rays) for i in range(n)]
     vol = 1
@@ -403,8 +406,24 @@ class Fan:
         return True
 
     def is_valid(self) -> bool:
-        """Pairwise intersections must be faces of both cones."""
-        for c1, c2 in combinations(self.cones, 2):
+        """Pairwise intersections must be faces of both cones.
+
+        A pair of pointed cones is first offered to `_separated`.  Let T be
+        their shared extremal rays, and let u be >= 0 on the rays of c1, <= 0
+        on the rays of c2, and 0 on exactly the rays in T of each cone.  Then
+        c1 cap c2 lies in H = {u = 0}.  As u is >= 0 on c1, c1 cap H is a face
+        of c1, and a face of a pointed cone is the cone over the extremal rays
+        it contains, so c1 cap H = cone(T); likewise c2 cap H = cone(T).  So
+        c1 cap c2 = cone(T), a face of both (the separation lemma; Cox, Little
+        & Schenck, *Toric Varieties*, Lemma 1.2.13).  Other pairs, and cones
+        with lines, get the exact double description of c1 cap c2 and the
+        face test, so `False` only ever comes from that exact route.
+        """
+        inc = [_incidence(c) if c.is_pointed else None for c in self.cones]
+        for (i1, c1), (i2, c2) in combinations(enumerate(self.cones), 2):
+            a, b = inc[i1], inc[i2]
+            if a is not None and b is not None and _separated(a, b):
+                continue
             cap = c1.intersect(c2)
             if not _is_face_of(cap, c1) or not _is_face_of(cap, c2):
                 return False
@@ -482,3 +501,37 @@ def _is_face_of(face: Cone, cone: Cone) -> bool:
     }
     # a face always carries the whole lineality space along
     return set(face.rays) == tight_rays and face.lines == cone.lines
+
+
+# A pointed cone's rank, its rays with their bit positions, and its facet
+# normals with the bitmask of the rays each one vanishes on.
+_Incidence = tuple[int, dict[Vec, int], list[tuple[Vec, int]]]
+
+
+def _incidence(cone: Cone) -> _Incidence:
+    bits = {r: i for i, r in enumerate(cone.rays)}
+    masks = [sum(1 << i for r, i in bits.items() if dot(f, r) == 0) for f in cone.facet_normals]
+    return cone.rank, bits, list(zip(cone.facet_normals, masks))
+
+
+def _separated(a: _Incidence, b: _Incidence) -> bool:
+    """Does a hyperplane show that two pointed cones meet in the cone over
+    their shared rays?  Tries u in {s1, -s2, s1 - s2}, where s_i sums the
+    facet normals of cone i that vanish on the shared rays; `Fan.is_valid`
+    proves that an accepted u is a certificate."""
+    (n, bits1, facets1), (_, bits2, facets2) = a, b
+    t1 = sum(1 << i for r, i in bits1.items() if r in bits2)
+    t2 = sum(1 << i for r, i in bits2.items() if r in bits1)
+    s1 = tuple(map(sum, zip((0,) * n, *(f for f, m in facets1 if m & t1 == t1))))
+    s2 = tuple(map(sum, zip((0,) * n, *(f for f, m in facets2 if m & t2 == t2))))
+    return any(
+        _weakly_positive(u, bits1, t1) and _weakly_positive(vscale(-1, u), bits2, t2)
+        for u in (s1, vscale(-1, s2), vsub(s1, s2))
+    )
+
+
+def _weakly_positive(u: Vec, bits: dict[Vec, int], tight: int) -> bool:
+    """<u, r> >= 0 on every ray r, with equality exactly on the `tight` bits."""
+    return all(
+        (d := dot(u, r)) >= 0 and (d == 0) == bool(tight >> i & 1) for r, i in bits.items()
+    )

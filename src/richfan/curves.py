@@ -220,10 +220,9 @@ class TropicalCurve:
                     mults[e] if j == t else 0 for j in range(k)
                 )
         model = TropicalCurve.build(self.graph, model_monoid, model_lengths)
+        # a free monoid's Hilbert basis is its set of extremal rays
         distinct = len(set(roots)) == k
-        hb = set(self.monoid.hilbert_basis())
-        free = len(hb) == self.monoid.cone.dim()
-        basic = distinct and free and set(roots) == hb
+        basic = distinct and self.monoid.is_free() and set(roots) == set(self.monoid.cone.rays)
         return BasicModel(
             components=tuple(comps),
             multipliers=tuple(sorted(mults.items())),

@@ -1,13 +1,12 @@
-"""Exact integer / rational linear algebra helpers.
+"""Exact integer linear algebra helpers.
 
 Vectors are plain tuples of ints, matrices are lists of row tuples.  Nothing
-here ever touches floats; ranks use Fractions and determinants use the Bareiss
-scheme so intermediate values stay integral.
+here ever touches floats or Fractions: ranks and lattices come from Hermite
+bases, and determinants use the Bareiss scheme so values stay integral.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -33,10 +32,6 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b, strict=True))
 
 
-def vadd(a: Sequence[int], b: Sequence[int]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vsub(a: Sequence[int], b: Sequence[int]) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
@@ -50,33 +45,8 @@ def is_zero(a: Sequence[int]) -> bool:
 
 
 def rank_of(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by fraction-free-ish Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                for c in range(col, ncols):
-                    m[r][c] -= f * m[row][c]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    """Rank over the rationals: the number of rows of the Hermite basis."""
+    return len(hnf_rows(rows))
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:
@@ -209,36 +179,3 @@ def saturated_span(rows: Sequence[Sequence[int]]) -> list[Vec]:
         # full span; kernel-of-kernel would lose the ambient dimension
         return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     return hnf_rows(integer_kernel(k))
-
-
-def solve_fraction(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> list[Fraction] | None:
-    """One rational solution of A x = b, or None if inconsistent."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    m = [[Fraction(x) for x in rows[r]] + [Fraction(rhs[r])] for r in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if m[r][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, c in pivots:
-        x[c] = m[r][ncols]
-    return x

@@ -175,12 +175,17 @@ class SharpMonoid:
         return cones.hilbert_basis(self.cone)
 
     def is_free(self) -> bool:
-        """Is M isomorphic to some N^d?  Equivalent to |Hilbert basis| = dim."""
-        hb = self.hilbert_basis()
-        if len(hb) != self.cone.dim():
-            return False
-        # a d-element generating set of a rank-d saturated monoid is a lattice
-        # basis of the span automatically; the determinant check is a guard
+        """Is M isomorphic to some N^d?
+
+        M is saturated and its cone is pointed, so M is free exactly when the
+        cone is smooth: simplicial, with rays forming a basis of the lattice
+        span cap Z^n (Cox, Little & Schenck, *Toric Varieties*, Thm 1.3.12).
+        If the rays are such a basis, M is N^d on them.  Conversely, N^d has
+        exactly d = dim irreducible elements, each extremal ray's primitive
+        vector is irreducible, and a d-dimensional cone has at least d rays;
+        so the rays are those d generators, and they generate the group
+        M - M = span cap Z^n.  No Hilbert basis is enumerated.
+        """
         return cones.is_unimodular(self.cone)
 
     def to_obj(self) -> dict:

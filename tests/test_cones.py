@@ -1,15 +1,149 @@
 """Exact cone arithmetic: double description, duality, Hilbert bases, fans."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
 
-from richfan import Cone, Fan, hilbert_basis, is_unimodular
-from richfan.cones import unit
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from richfan import (
+    ChoiceFunction,
+    Cone,
+    Fan,
+    Graph,
+    SharpMonoid,
+    choice_monoid,
+    hilbert_basis,
+    is_unimodular,
+    weakly_rich_fan,
+)
+from richfan.catalog import small_connected_graphs
+from richfan.cones import _incidence, _is_face_of, _separated, unit
 from richfan.errors import DimensionMismatch
+from richfan.intlinalg import det, saturated_span
 
 
 def orthant(k: int) -> Cone:
     return Cone.from_rays(k, [unit(k, i) for i in range(k)])
+
+
+def lattice_coords(basis, v) -> tuple[int, ...]:
+    """Coordinates of v in a saturated lattice basis, by Gauss-Jordan over Q."""
+    k = len(basis)
+    m = [[Fraction(b[i]) for b in basis] + [Fraction(v[i])] for i in range(len(v))]
+    for col in range(k):
+        piv = next(r for r in range(col, len(m)) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(len(m)):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    assert all(m[r][k] == 0 for r in range(k, len(m))), "vector outside the span"
+    x = [m[r][k] for r in range(k)]
+    assert all(t.denominator == 1 for t in x), "vector outside the saturated lattice"
+    return tuple(int(t) for t in x)
+
+
+def unimodular_reference(cone: Cone) -> bool:
+    """Oracle for is_unimodular: the rays' coordinates in a saturated basis of
+    their span, found over Q, must form a square matrix of determinant +-1."""
+    if cone.lines:
+        return False
+    span = saturated_span(cone.rays)
+    if len(cone.rays) != len(span):
+        return False
+    return abs(det([lattice_coords(span, r) for r in cone.rays])) == 1
+
+
+def hilbert_reference(cone: Cone, cap: int = 4000) -> list | None:
+    """Bounding-box Hilbert basis with no unimodular shortcut, or None when
+    the box holds more than `cap` points."""
+    n = cone.rank
+    lo = [sum(min(r[i], 0) for r in cone.rays) for i in range(n)]
+    hi = [sum(max(r[i], 0) for r in cone.rays) for i in range(n)]
+    vol = 1
+    for a, b in zip(lo, hi):
+        vol *= b - a + 1
+    if vol > cap:
+        return None
+    pts = [p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if any(p) and cone.contains(p)]
+    members = set(pts)
+    # p is reducible iff p = q + (p - q) with both parts nonzero members
+    return sorted(p for p in pts if not any(tuple(x - y for x, y in zip(p, q)) in members for q in pts))
+
+
+def free_reference(cone: Cone) -> bool | None:
+    hb = hilbert_reference(cone)
+    if hb is None:
+        return None
+    return len(hb) == cone.dim() and unimodular_reference(cone)
+
+
+def valid_reference(fan: Fan) -> bool:
+    """Oracle for Fan.is_valid: every pairwise intersection, by double
+    description, is a face of both cones."""
+    for c1, c2 in combinations(fan.cones, 2):
+        cap = c1.intersect(c2)
+        if not _is_face_of(cap, c1) or not _is_face_of(cap, c2):
+            return False
+    return True
+
+
+def census_r1_fans(max_edges: int = 5):
+    for g in small_connected_graphs(max_edges):
+        yield g, weakly_rich_fan(g, 1)
+
+
+def census_choice_monoids(max_edges: int = 5):
+    """One choice monoid per cone of each r=1 fan: every cut picks the edge
+    that is smallest at the sum of the cone's rays."""
+    for g, fan in census_r1_fans(max_edges):
+        pos = {e: j for j, e in enumerate(g.sorted_edge_ids())}
+        cuts = g.cuts()
+        for cone in fan.cones:
+            inner = [sum(col) for col in zip(*cone.rays)]
+            f = ChoiceFunction.build(g, {c: min(c, key=lambda e: inner[pos[e]]) for c in cuts})
+            yield choice_monoid(g, f)
+
+
+def random_cones(seed: int, count: int):
+    """Seeded cones of rank 0-5: unimodular bases and index-2 perturbations
+    of them, full and lower dimensional, arbitrary ray sets, and cones with
+    lines."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 5)
+        kind = rng.choice(["basis", "any", "lower", "lines"])
+        if kind == "basis":
+            rows = [list(unit(n, i)) for i in range(n)]
+            for _ in range(3 * n if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice([-1, 1])
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            rays = rng.sample(rows, rng.randint(0, n))
+            if len(rays) > 1 and rng.random() < 0.5:
+                rays[0] = [2 * a + b for a, b in zip(rays[0], rays[1])]
+            yield Cone.from_rays(n, rays)
+        elif kind == "any":
+            k = rng.randint(0, n + 2)
+            yield Cone.from_rays(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)])
+        elif kind == "lower":
+            d = rng.randint(0, max(n - 1, 0))
+            basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+            k = rng.randint(1, d + 2)
+            rays = [
+                [sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(n)]
+                for _ in range(k)
+            ]
+            yield Cone.from_rays(n, rays)
+        else:
+            k = rng.randint(0, n)
+            rays = [[rng.randint(0, 2) for _ in range(n)] for _ in range(k)]
+            line = [rng.randint(-1, 1) for _ in range(n)]
+            yield Cone.from_rays(n, rays, [line])
 
 
 class TestDoubleDescription:
@@ -154,6 +288,44 @@ class TestUnimodular:
     def test_lower_dimensional_unimodular(self):
         assert is_unimodular(Cone.from_rays(3, [(1, 0, 0), (1, 1, 0)]))
 
+    def test_dependent_rays_generating_the_saturated_lattice(self):
+        # four rays of a rank-3 lattice generate all of it, yet are no basis
+        c = Cone.from_rays(5, [(0, 0, 1, 0, 0), (1, 0, 1, 0, 0), (1, 1, 1, 0, 0), (0, 1, 1, 0, 0)])
+        assert len(c.rays) == 4 and c.dim() == 3
+        assert not is_unimodular(c)
+        assert not SharpMonoid(5, c).is_free()
+
+    def test_matches_reference_random(self):
+        seen = Counter()
+        for c in random_cones(20261018, 600):
+            got = is_unimodular(c)
+            assert got == unimodular_reference(c), c
+            k, n = len(c.rays), c.rank
+            seen["lines" if c.lines else "k<n" if k < n else "k=n" if k == n else "k>n", got] += 1
+            if c.is_pointed:
+                expect = free_reference(c)
+                if expect is not None:
+                    assert SharpMonoid(n, c).is_free() == expect, c
+                    seen["free", expect] += 1
+        # every branch of is_unimodular is reached with both verdicts
+        for key in [("k<n", True), ("k<n", False), ("k=n", True), ("k=n", False), ("free", False)]:
+            assert seen[key] >= 20, seen
+        assert seen["k>n", False] and seen["lines", False] and seen["free", True] >= 300
+
+    def test_matches_reference_census(self):
+        cones = [c for _, fan in census_r1_fans() for c in fan.cones]
+        monoids = list(census_choice_monoids())
+        assert len(cones) == len(monoids) == 646
+        for c in cones + [m.cone for m in monoids]:
+            assert is_unimodular(c) == unimodular_reference(c), c
+        free_checked = 0
+        for m in monoids:
+            expect = free_reference(m.cone)
+            if expect is not None:
+                assert m.is_free() == expect, m
+                free_checked += 1
+        assert free_checked >= 100
+
 
 class TestFan:
     def two_cone_fan(self) -> Fan:
@@ -204,3 +376,88 @@ class TestFan:
         f = self.two_cone_fan()
         g = Fan(2, list(reversed(list(f.cones))))
         assert f.to_obj() == g.to_obj()
+
+
+TRIANGLE = Graph.build([0, 1, 2], [(0, 0, 1), (1, 1, 2), (2, 2, 0)])
+THETA = Graph.build([0, 1], [(0, 0, 1), (1, 0, 1), (2, 0, 1)])
+
+
+def invalid_fans() -> dict[str, Fan]:
+    return {
+        # two 2-D cones in rank 3 crossing along a ray interior to both
+        "crossing": Fan(3, [
+            Cone.from_rays(3, [(1, 0, 0), (0, 1, 0)]),
+            Cone.from_rays(3, [(1, 1, 1), (1, 1, -1)]),
+        ]),
+        "overlapping": Fan(2, [
+            Cone.from_rays(2, [(1, 0), (1, 2)]),
+            Cone.from_rays(2, [(2, 1), (0, 1)]),
+        ]),
+        "nested": Fan(3, [orthant(3), Cone.from_rays(3, [(1, 1, 0), (1, 1, 1), (1, 0, 1)])]),
+        "nested ray": Fan(3, [orthant(3), Cone.from_rays(3, [(1, 1, 1)])]),
+        # cone(e1, e1 + e2) is only part of the facet cone(e1, e2)
+        "part of a facet": Fan(3, [
+            orthant(3),
+            Cone.from_rays(3, [(1, 0, 0), (1, 1, 0), (0, 0, -1)]),
+        ]),
+        # the upper half-plane contains the pointed cone
+        "lines": Fan(2, [
+            Cone.from_inequalities(2, [(0, 1)]),
+            Cone.from_rays(2, [(1, 1), (0, 1)]),
+        ]),
+    }
+
+
+class TestFanValidity:
+    def test_census_r1_fans_match_reference(self):
+        fans = [fan for _, fan in census_r1_fans()]
+        assert len(fans) == 143
+        for fan in fans:
+            assert fan.is_valid() and valid_reference(fan), fan
+        # the certificate settles most pairs without a double description
+        pairs = [
+            _separated(a, b)
+            for fan in fans
+            for a, b in combinations([_incidence(c) for c in fan.cones], 2)
+        ]
+        assert len(pairs) == 10588 and sum(pairs) >= 8800
+
+    @pytest.mark.parametrize("graph, r", [(TRIANGLE, 2), (TRIANGLE, 3), (THETA, 2)])
+    def test_newton_fans_match_reference(self, graph, r):
+        fan = weakly_rich_fan(graph, r)
+        assert fan.is_valid() and valid_reference(fan)
+
+    @pytest.mark.parametrize("name", sorted(invalid_fans()))
+    def test_invalid_fans_match_reference(self, name):
+        fan = invalid_fans()[name]
+        assert len(fan.cones) == 2
+        assert not fan.is_valid() and not valid_reference(fan)
+
+    def test_fan_with_lines(self):
+        halves = Fan(2, [Cone.from_inequalities(2, [(0, 1)]), Cone.from_inequalities(2, [(0, -1)])])
+        assert halves.is_valid() and valid_reference(halves)
+
+    def test_separated_decides_adjacent_and_disjoint_pairs(self):
+        a = Cone.from_rays(2, [(1, 0), (1, 1)])
+        b = Cone.from_rays(2, [(1, 1), (0, 1)])
+        c = Cone.from_rays(2, [(-1, 0), (-1, -1)])
+        assert _separated(_incidence(a), _incidence(b))
+        assert _separated(_incidence(a), _incidence(c))
+        for fan in invalid_fans().values():
+            c1, c2 = fan.cones
+            if c1.is_pointed and c2.is_pointed:
+                assert not _separated(_incidence(c1), _incidence(c2))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_separated_is_sound(self, data):
+        n = data.draw(st.integers(2, 3))
+        vec = st.tuples(*[st.integers(-2, 2)] * n)
+        shared = data.draw(st.lists(vec, max_size=2))
+        c1 = Cone.from_rays(n, shared + data.draw(st.lists(vec, min_size=1, max_size=3)))
+        c2 = Cone.from_rays(n, shared + data.draw(st.lists(vec, min_size=1, max_size=3)))
+        assume(c1.is_pointed and c2.is_pointed)
+        if _separated(_incidence(c1), _incidence(c2)):
+            cap = c1.intersect(c2)
+            assert _is_face_of(cap, c1) and _is_face_of(cap, c2)
+            assert set(cap.rays) == set(c1.rays) & set(c2.rays)

@@ -234,6 +234,17 @@ class TestBasicModel:
         assert bm.is_basic
         assert bm.multipliers == ((0, 1), (1, 2), (2, 2))
 
+    def test_nonfree_monoid_not_basic(self, twogon):
+        # free is decided by unimodularity: no Hilbert basis is enumerated,
+        # though this monoid's bounding box holds about 10^9 points
+        m = SharpMonoid.from_rays(3, [(1, 0, 0), (0, 1, 0), (999, 999, 1000)])
+        c = TropicalCurve.build(twogon, m, {0: (1, 0, 0), 1: (1, 0, 0)})
+        bm = c.basic_model(1)
+        assert not bm.is_basic
+        assert bm.roots == ((1, 0, 0),)
+        small = SharpMonoid.from_rays(2, [(1, 0), (1, 2)])
+        assert not TropicalCurve.build(twogon, small, {0: (1, 1), 1: (1, 1)}).basic_model(1).is_basic
+
     def test_not_rich_raises(self, twogon):
         c = curve(twogon, 2, {0: (1, 0), 1: (0, 1)})
         with pytest.raises(NotRRich):
