@@ -9,7 +9,6 @@ Hilbert bases are all exact; no floats anywhere.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -37,15 +36,17 @@ def double_description(
     rank: int,
     ineqs: Iterable[Sequence[int]],
     eqs: Iterable[Sequence[int]] = (),
-) -> tuple[list[Vec], list[Vec]]:
-    """Generators (lines, rays) of {x : <e,x> = 0 for eqs, <a,x> >= 0 for ineqs}.
+) -> tuple[list[Vec], list[Vec], list[int]]:
+    """Generators (lines, rays) of {x : <e,x> = 0 for eqs, <a,x> >= 0 for ineqs},
+    and for each ray the bitmask of the ineqs it is tight at (bit k for the
+    k-th inequality; a zero inequality is tight everywhere).
 
     Sequential insertion with combinatorial adjacency; every intermediate ray
-    carries the bitmask of inequalities it is tight at.  Lines are consumed
-    first whenever a new constraint cuts the current lineality space.
+    carries its tight bitmask.  Lines are consumed first whenever a new
+    constraint cuts the current lineality space.  The lines lie in the kernel
+    of every inequality, so reducing a ray modulo the lines keeps its mask.
     """
     ins = [tuple(int(x) for x in a) for a in ineqs]
-    ins = [a for a in ins if not is_zero(a)]
     eqn = [tuple(int(x) for x in e) for e in eqs]
     eqn = [e for e in eqn if not is_zero(e)]
 
@@ -123,8 +124,9 @@ def double_description(
         insert(a, k, (1 << k) - 1)
 
     line_basis = saturated_span(lines) if lines else []
-    vecs = sorted({_reduce_mod_lines(v, line_basis) for v, _ in rays})
-    return list(line_basis), vecs
+    masks = {_reduce_mod_lines(v, line_basis): m for v, m in rays}
+    vecs = sorted(masks)
+    return list(line_basis), vecs, [masks[v] for v in vecs]
 
 
 def _reduce_mod_lines(v: Sequence[int], lines_hnf: Sequence[Vec]) -> Vec:
@@ -169,7 +171,7 @@ class Cone:
         ineqs: Iterable[Sequence[int]],
         eqs: Iterable[Sequence[int]] = (),
     ) -> "Cone":
-        lines, rays = double_description(rank, ineqs, eqs)
+        lines, rays, _ = double_description(rank, ineqs, eqs)
         return cls._from_dd(rank, lines, rays)
 
     @classmethod
@@ -183,9 +185,9 @@ class Cone:
         gen_list = [g for g in gen_list if not is_zero(g)]
         line_list = [tuple(int(x) for x in l) for l in lines]
         line_list = [l for l in line_list if not is_zero(l)]
-        dl, dr = double_description(rank, gen_list, line_list)
+        dl, dr, _ = double_description(rank, gen_list, line_list)
         dual = cls._from_dd(rank, dl, dr)
-        pl, pr = double_description(rank, dual.rays, dual.lines)
+        pl, pr, _ = double_description(rank, dual.rays, dual.lines)
         cone = cls._from_dd(rank, pl, pr)
         cone._dual = dual
         dual._dual = cone
@@ -193,7 +195,7 @@ class Cone:
 
     def dual(self) -> "Cone":
         if self._dual is None:
-            dl, dr = double_description(self.rank, self.rays, self.lines)
+            dl, dr, _ = double_description(self.rank, self.rays, self.lines)
             d = Cone._from_dd(self.rank, dl, dr)
             d._dual = self
             self._dual = d
@@ -371,59 +373,74 @@ class Fan:
     def __repr__(self) -> str:
         return f"Fan(rank={self.rank}, cones={len(self.cones)})"
 
-    def is_complete_on_orthant(self, samples: int = 64, seed: int = 20240) -> bool:
-        """Facet pairing plus seeded rational point coverage on the orthant.
+    def is_complete_on_orthant(self) -> bool:
+        """Exact certificate that the cones subdivide the orthant face to face.
 
-        Every cone must be full dimensional; every facet must either lie in a
-        coordinate hyperplane or be shared by exactly two cones; deterministic
-        interior sample points must each land in some cone, and in exactly one
-        when they avoid all walls.
+        True exactly when:
+        (a) every cone is full dimensional, pointed and has rays >= 0;
+        (b) every facet whose primitive inner normal f is not a unit vector
+            e_i is, with the same rays, a facet of exactly one other cone,
+            whose normal there is -f (a facet with normal e_i lies in the
+            coordinate hyperplane x_i = 0);
+        (c) exactly one cone contains p = (1, t, ..., t^(n-1)), where
+            t = 2 + the largest |entry| of a facet normal.  By Cauchy's root
+            bound, <f, p> is a nonzero integer polynomial in t for every
+            facet normal f, so p lies in the open orthant and on no wall.
+
+        Coverage.  Let X be the open orthant minus the faces of dimension
+        <= n - 2 of all cones; X is connected.  For x in X let N(x) count
+        the cones with x in the interior, plus one half for each cone with x
+        on a facet.  Such an x is in the relative interior of that facet,
+        whose normal is not a unit vector, as x has no zero coordinate.
+        Near x, a cone of the first kind covers a whole ball, and by (b) the
+        cones of the second kind come in pairs covering the two sides of one
+        wall, so N is locally constant on X.  N(p) = 1 by (c), so N = 1 on
+        X: X is covered and no two interiors meet.  X is dense in the orthant
+        and the union of the cones is closed, so it is the whole orthant.
+
+        Face to face.  Take q in the orthant and a ball B around q that
+        meets no cone missing q and no facet missing q of a cone holding q.
+        A generic path inside B from the interior of one cone around q to
+        the interior of another crosses walls only through the relative
+        interiors of facets; each such facet contains q and is matched by
+        (b) to the cone across it.  Two cones matched at a facet F that
+        contains q share the smallest face of F containing q, which is
+        their smallest face containing q.  So all cones around q have one
+        smallest face G at q.  For q in the relative interior of c1 cap c2,
+        G contains c1 cap c2 (a face containing a relative interior point of
+        a convex subset contains all of it) and lies in both cones, so
+        c1 cap c2 = G is a face of both.  See De Loera, Rambau & Santos,
+        *Triangulations* (2010), ch. 4, for facet matching of subdivisions.
         """
-        if self.rank == 0:
+        n = self.rank
+        if n == 0:
             return len(self.cones) == 1 and self.cones[0].dim() == 0
-        if not self.cones:
-            return False
+        units = {unit(n, i) for i in range(n)}
+        walls: dict[tuple[tuple[Vec, ...], Vec], int] = {}
         for c in self.cones:
-            if c.dim() != self.rank:
+            if not c.is_pointed or c.span_equations or any(x < 0 for r in c.rays for x in r):
                 return False
-        shared: dict[tuple[Vec, ...], int] = {}
-        for c in self.cones:
             for f in c.facet_normals:
-                tight = tuple(r for r in c.rays if dot(f, r) == 0)
-                if any(all(r[i] == 0 for r in tight) for i in range(self.rank)):
-                    continue
-                shared[tight] = shared.get(tight, 0) + 1
-        if any(v != 2 for v in shared.values()):
+                if f not in units:
+                    key = (tuple(r for r in c.rays if dot(f, r) == 0), f)
+                    walls[key] = walls.get(key, 0) + 1
+        # two cones holding a wall on the same side fail at its opposite key
+        if any(walls.get((face, vscale(-1, f))) != 1 for face, f in walls):
             return False
-        rng = random.Random(seed)
-        for _ in range(samples):
-            p = tuple(rng.randint(1, 9973) for _ in range(self.rank))
-            hits = [c for c in self.cones if c.contains(p)]
-            if not hits:
-                return False
-            if len(hits) > 1 and any(c.interior_contains(p) for c in hits):
-                return False
-        return True
+        t = 2 + max((abs(x) for c in self.cones for f in c.facet_normals for x in f), default=0)
+        p = tuple(t**j for j in range(n))
+        return sum(c.contains(p) for c in self.cones) == 1
 
     def is_valid(self) -> bool:
         """Pairwise intersections must be faces of both cones.
 
-        A pair of pointed cones is first offered to `_separated`.  Let T be
-        their shared extremal rays, and let u be >= 0 on the rays of c1, <= 0
-        on the rays of c2, and 0 on exactly the rays in T of each cone.  Then
-        c1 cap c2 lies in H = {u = 0}.  As u is >= 0 on c1, c1 cap H is a face
-        of c1, and a face of a pointed cone is the cone over the extremal rays
-        it contains, so c1 cap H = cone(T); likewise c2 cap H = cone(T).  So
-        c1 cap c2 = cone(T), a face of both (the separation lemma; Cox, Little
-        & Schenck, *Toric Varieties*, Lemma 1.2.13).  Other pairs, and cones
-        with lines, get the exact double description of c1 cap c2 and the
-        face test, so `False` only ever comes from that exact route.
+        A fan with the certificate of `is_complete_on_orthant` is valid, as
+        proved there.  Any other fan gets the exact double description of
+        every pairwise intersection and the face test.
         """
-        inc = [_incidence(c) if c.is_pointed else None for c in self.cones]
-        for (i1, c1), (i2, c2) in combinations(enumerate(self.cones), 2):
-            a, b = inc[i1], inc[i2]
-            if a is not None and b is not None and _separated(a, b):
-                continue
+        if self.is_complete_on_orthant():
+            return True
+        for c1, c2 in combinations(self.cones, 2):
             cap = c1.intersect(c2)
             if not _is_face_of(cap, c1) or not _is_face_of(cap, c2):
                 return False
@@ -501,37 +518,3 @@ def _is_face_of(face: Cone, cone: Cone) -> bool:
     }
     # a face always carries the whole lineality space along
     return set(face.rays) == tight_rays and face.lines == cone.lines
-
-
-# A pointed cone's rank, its rays with their bit positions, and its facet
-# normals with the bitmask of the rays each one vanishes on.
-_Incidence = tuple[int, dict[Vec, int], list[tuple[Vec, int]]]
-
-
-def _incidence(cone: Cone) -> _Incidence:
-    bits = {r: i for i, r in enumerate(cone.rays)}
-    masks = [sum(1 << i for r, i in bits.items() if dot(f, r) == 0) for f in cone.facet_normals]
-    return cone.rank, bits, list(zip(cone.facet_normals, masks))
-
-
-def _separated(a: _Incidence, b: _Incidence) -> bool:
-    """Does a hyperplane show that two pointed cones meet in the cone over
-    their shared rays?  Tries u in {s1, -s2, s1 - s2}, where s_i sums the
-    facet normals of cone i that vanish on the shared rays; `Fan.is_valid`
-    proves that an accepted u is a certificate."""
-    (n, bits1, facets1), (_, bits2, facets2) = a, b
-    t1 = sum(1 << i for r, i in bits1.items() if r in bits2)
-    t2 = sum(1 << i for r, i in bits2.items() if r in bits1)
-    s1 = tuple(map(sum, zip((0,) * n, *(f for f, m in facets1 if m & t1 == t1))))
-    s2 = tuple(map(sum, zip((0,) * n, *(f for f, m in facets2 if m & t2 == t2))))
-    return any(
-        _weakly_positive(u, bits1, t1) and _weakly_positive(vscale(-1, u), bits2, t2)
-        for u in (s1, vscale(-1, s2), vsub(s1, s2))
-    )
-
-
-def _weakly_positive(u: Vec, bits: dict[Vec, int], tight: int) -> bool:
-    """<u, r> >= 0 on every ray r, with equality exactly on the `tight` bits."""
-    return all(
-        (d := dot(u, r)) >= 0 and (d == 0) == bool(tight >> i & 1) for r, i in bits.items()
-    )

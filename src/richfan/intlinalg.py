@@ -158,7 +158,9 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[Vec]:
     for r in range(len(m)):
         c = next(i for i, x in enumerate(m[r]) if x != 0)
         pivots.append(c)
-    for r in range(len(m) - 1, -1, -1):
+    # top-down: reducing by row r only touches columns right of the pivots
+    # of rows above it, so their reductions stay done
+    for r in range(len(m)):
         c = pivots[r]
         for rr in range(r):
             q = m[rr][c] // m[r][c]

@@ -28,7 +28,7 @@ from .errors import (
     is_int_vector,
 )
 from .graphs import Graph
-from .intlinalg import Vec, dot, rank_of
+from .intlinalg import Vec, rank_of
 from .monoids import MAX_DIVISOR_TUPLES, SharpMonoid, check_r, divisors
 
 _NP_THRESHOLD = 512
@@ -531,9 +531,14 @@ def newton_subdivision(i: MonomialIdeal) -> Fan:
     """
     n = i.rank
     homog = [(1,) + m for m in i.generators]
-    _, dual_rays = double_description(n + 1, homog + [unit(n + 1, j + 1) for j in range(n)])
-    tights = (sorted(r[1:] for r in dual_rays if dot(r, h) == 0) for h in homog)
-    return Fan(n, [Cone(n, tuple(t), ()) for t in tights if rank_of(t) == n])
+    _, dual_rays, masks = double_description(n + 1, homog + [unit(n + 1, j + 1) for j in range(n)])
+    tights: list[list[Vec]] = [[] for _ in homog]
+    for r, m in zip(dual_rays, masks):
+        m &= (1 << len(homog)) - 1
+        while m:
+            tights[(m & -m).bit_length() - 1].append(r[1:])
+            m &= m - 1
+    return Fan(n, [Cone(n, tuple(sorted(t)), ()) for t in tights if rank_of(t) == n])
 
 
 # -- choice functions ---------------------------------------------------------

@@ -173,6 +173,12 @@ class TestIdealAndFan:
         out = json.loads(capsys.readouterr().out)
         assert out["valid"] is False
 
+    def test_verify_rejects_fan_off_the_orthant(self, tmp_path, capsys):
+        doc = {"rank": 2, "cones": [{"rays": [[1, 0], [0, 1]]}, {"rays": [[-1, 0], [0, -1]]}]}
+        assert main(["verify-fan", write(tmp_path, "fan.json", doc)]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"complete_on_orthant": False, "valid": True}
+
     @pytest.mark.parametrize(
         "doc",
         [

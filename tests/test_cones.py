@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -20,9 +21,9 @@ from richfan import (
     weakly_rich_fan,
 )
 from richfan.catalog import small_connected_graphs
-from richfan.cones import _incidence, _is_face_of, _separated, unit
+from richfan.cones import _is_face_of, double_description, unit
 from richfan.errors import DimensionMismatch
-from richfan.intlinalg import det, saturated_span
+from richfan.intlinalg import det, dot, hnf_rows, saturated_span
 
 
 def orthant(k: int) -> Cone:
@@ -214,6 +215,18 @@ class TestDoubleDescription:
             assert c.contains(l)
             assert c.contains(tuple(-t for t in l))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tight_masks(self, data):
+        n = data.draw(st.integers(1, 4))
+        vec = st.tuples(*[st.integers(-2, 2)] * n)
+        ineqs = data.draw(st.lists(vec, max_size=6))
+        eqs = data.draw(st.lists(vec, max_size=1))
+        lines, rays, masks = double_description(n, ineqs, eqs)
+        assert len(masks) == len(rays)
+        for r, m in zip(rays, masks):
+            assert m == sum(1 << k for k, a in enumerate(ineqs) if dot(a, r) == 0)
+
 
 class TestContainment:
     def test_interior(self):
@@ -350,6 +363,19 @@ class TestFan:
     def test_orthant_fan_complete(self):
         assert Fan(2, [orthant(2)]).is_complete_on_orthant()
 
+    def test_not_supported_on_orthant(self):
+        negative = Cone.from_rays(2, [(-1, 0), (0, -1)])
+        assert not Fan(2, [orthant(2), negative]).is_complete_on_orthant()
+        assert not Fan(2, [Cone.from_inequalities(2, [(0, 1)])]).is_complete_on_orthant()
+        # every wall of this fan of the whole plane is matched
+        rays = [(1, 1), (-1, 2), (-1, -3)]
+        plane = Fan(2, [Cone.from_rays(2, [u, v]) for u, v in combinations(rays, 2)])
+        assert plane.is_valid() and not plane.is_complete_on_orthant()
+
+    def test_double_cover_not_complete(self):
+        f = Fan(2, [orthant(2), *self.two_cone_fan().cones])
+        assert not f.is_complete_on_orthant() and not f.is_valid()
+
     def test_refine_identity(self):
         f = self.two_cone_fan()
         assert f.refine(Fan(2, [orthant(2)])) == f
@@ -414,13 +440,6 @@ class TestFanValidity:
         assert len(fans) == 143
         for fan in fans:
             assert fan.is_valid() and valid_reference(fan), fan
-        # the certificate settles most pairs without a double description
-        pairs = [
-            _separated(a, b)
-            for fan in fans
-            for a, b in combinations([_incidence(c) for c in fan.cones], 2)
-        ]
-        assert len(pairs) == 10588 and sum(pairs) >= 8800
 
     @pytest.mark.parametrize("graph, r", [(TRIANGLE, 2), (TRIANGLE, 3), (THETA, 2)])
     def test_newton_fans_match_reference(self, graph, r):
@@ -436,28 +455,90 @@ class TestFanValidity:
     def test_fan_with_lines(self):
         halves = Fan(2, [Cone.from_inequalities(2, [(0, 1)]), Cone.from_inequalities(2, [(0, -1)])])
         assert halves.is_valid() and valid_reference(halves)
+        assert not halves.is_complete_on_orthant()
 
-    def test_separated_decides_adjacent_and_disjoint_pairs(self):
+    def test_valid_fans_without_the_certificate(self):
         a = Cone.from_rays(2, [(1, 0), (1, 1)])
         b = Cone.from_rays(2, [(1, 1), (0, 1)])
         c = Cone.from_rays(2, [(-1, 0), (-1, -1)])
-        assert _separated(_incidence(a), _incidence(b))
-        assert _separated(_incidence(a), _incidence(c))
-        for fan in invalid_fans().values():
-            c1, c2 = fan.cones
-            if c1.is_pointed and c2.is_pointed:
-                assert not _separated(_incidence(c1), _incidence(c2))
+        ray = Cone.from_rays(3, [(-1, 0, 0)])
+        for fan in (Fan(2, [a]), Fan(2, [a, c]), Fan(2, [b, c]), Fan(3, [orthant(3), ray])):
+            assert not fan.is_complete_on_orthant()
+            assert fan.is_valid() and valid_reference(fan), fan
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_separated_is_sound(self, data):
+    def test_is_valid_matches_reference(self, data):
         n = data.draw(st.integers(2, 3))
         vec = st.tuples(*[st.integers(-2, 2)] * n)
         shared = data.draw(st.lists(vec, max_size=2))
         c1 = Cone.from_rays(n, shared + data.draw(st.lists(vec, min_size=1, max_size=3)))
         c2 = Cone.from_rays(n, shared + data.draw(st.lists(vec, min_size=1, max_size=3)))
-        assume(c1.is_pointed and c2.is_pointed)
-        if _separated(_incidence(c1), _incidence(c2)):
-            cap = c1.intersect(c2)
-            assert _is_face_of(cap, c1) and _is_face_of(cap, c2)
-            assert set(cap.rays) == set(c1.rays) & set(c2.rays)
+        fan = Fan(n, [c1, c2])
+        assert fan.is_valid() == valid_reference(fan)
+
+
+@cache
+def small_fans() -> tuple[Fan, ...]:
+    """Complete fans of rank 2-3: the r=1 census fans up to 3 edges and a few
+    Newton fans with interior rays."""
+    twogon = Graph.build([0, 1], [(0, 0, 1), (1, 0, 1)])
+    fans = [fan for g, fan in census_r1_fans(3) if fan.rank >= 2]
+    fans += [weakly_rich_fan(twogon, 2), weakly_rich_fan(twogon, 6), weakly_rich_fan(THETA, 2)]
+    return tuple(fans)
+
+
+@st.composite
+def perturbed_fans(draw) -> Fan:
+    """A small complete fan with some cones dropped, a ray moved in every cone
+    or in one cone only, or a random cone added."""
+    fan = draw(st.sampled_from(small_fans()))
+    n = fan.rank
+    cones = [list(c.rays) for c in fan.cones]
+    kind = draw(st.sampled_from(["none", "drop", "move", "move one", "add"]))
+    if kind == "drop":
+        cones = [c for c in cones if not draw(st.booleans())]
+    elif kind.startswith("move"):
+        old = draw(st.sampled_from(sorted({r for c in cones for r in c})))
+        new = tuple(x + d for x, d in zip(old, draw(st.tuples(*[st.integers(-1, 1)] * n))))
+        assume(any(new))
+        which = [draw(st.sampled_from(range(len(cones))))] if kind == "move one" else range(len(cones))
+        for i in which:
+            cones[i] = [new if r == old else r for r in cones[i]]
+    elif kind == "add":
+        cones.append(draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=n)))
+    return Fan(n, [Cone.from_rays(n, c) for c in cones])
+
+
+@given(perturbed_fans())
+@settings(max_examples=300, deadline=None)
+def test_completeness_certificate_is_sound(fan):
+    if not fan.is_complete_on_orthant():
+        return
+    assert fan.is_valid() and valid_reference(fan)
+    for x in product(range(1, 5), repeat=fan.rank):
+        hits = [c for c in fan.cones if c.contains(x)]
+        assert hits, x
+        assert len(hits) == 1 or not any(c.interior_contains(x) for c in hits), x
+
+
+def test_hnf_rows_is_canonical():
+    """Unimodular row operations keep the lattice, so they keep hnf_rows."""
+    rng = random.Random(7)
+    for _ in range(500):
+        n = rng.randint(3, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        mixed = [list(r) for r in rows]
+        for _ in range(3 * n):
+            i, j = rng.randrange(len(mixed)), rng.randrange(len(mixed))
+            if i != j:
+                c = rng.randint(-2, 2)
+                mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+            else:
+                mixed[i] = [-a for a in mixed[i]]
+        rng.shuffle(mixed)
+        h = hnf_rows(rows)
+        assert hnf_rows(mixed) == h, (rows, mixed)
+        for r, row in enumerate(h):
+            c = next(k for k, x in enumerate(row) if x)
+            assert row[c] > 0 and all(0 <= h[q][c] < row[c] for q in range(r))

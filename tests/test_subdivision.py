@@ -410,7 +410,7 @@ class TestNewtonSubdivision:
         )
         fan = weakly_rich_fan(square, 2)
         assert len(fan.cones) == 336
-        assert fan.is_complete_on_orthant()
+        assert fan.is_complete_on_orthant() and fan.is_valid()
 
     def test_theta_r4(self, theta):
         assert len(weakly_rich_fan(theta, 4).cones) == 39
