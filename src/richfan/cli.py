@@ -129,8 +129,8 @@ def _run_subdivide(args) -> int:
 
 def _run_verify_fan(args) -> int:
     fan = Fan.from_obj(_load(args.input))
-    valid = fan.is_valid()
-    complete = valid and fan.is_complete_on_orthant()
+    complete = fan.is_complete_on_orthant()
+    valid = complete or fan.is_valid()
     _emit(_canonical({"complete_on_orthant": complete, "valid": valid}), args.out)
     return _bool_exit(valid and complete)
 

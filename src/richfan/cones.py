@@ -175,6 +175,35 @@ class Cone:
         return cls._from_dd(rank, lines, rays)
 
     @classmethod
+    def full_from_inequalities(cls, rank: int, ineqs: Sequence[Vec]) -> "Cone":
+        """from_inequalities for a system known to cut out a full-dimensional
+        pointed cone, with the dual read off the tight masks.
+
+        Every proper face of such a cone lies in a facet, and only the zero
+        inequality is tight on every ray, so the facets are the inclusion-
+        maximal tight ray sets of the other inequalities.  A facet spans a
+        hyperplane, so its inequalities share one primitive normal, and the
+        dual is the cone on those normals: facet_normals needs no second
+        double description.
+        """
+        lines, rays, masks = double_description(rank, ineqs)
+        assert not lines, "a full-dimensional pointed cone has no lines"
+        tight = [0] * len(ineqs)
+        for i, m in enumerate(masks):
+            while m:
+                low = m & -m
+                tight[low.bit_length() - 1] |= 1 << i
+                m ^= low
+        every = (1 << len(rays)) - 1
+        sets = {t for t in tight if t != every and t.bit_count() >= rank - 1}
+        facets = {t for t in sets if not any(t != u and t & u == t for u in sets)}
+        normals = {primitive(a) for a, t in zip(ineqs, tight) if t in facets}
+        cone = cls(rank, tuple(rays), ())
+        cone._dual = cls(rank, tuple(sorted(normals)), ())
+        cone._dual._dual = cone
+        return cone
+
+    @classmethod
     def from_rays(
         cls,
         rank: int,
@@ -352,7 +381,7 @@ def hilbert_basis(cone: Cone, cap: int = 4_000_000) -> list[Vec]:
 class Fan:
     """A finite set of maximal cones in a common ambient rank."""
 
-    __slots__ = ("rank", "cones")
+    __slots__ = ("rank", "cones", "_complete")
 
     def __init__(self, rank: int, cones: Iterable[Cone]):
         seen = sorted(set(cones), key=lambda c: (c.rays, c.lines))
@@ -361,6 +390,7 @@ class Fan:
                 raise DimensionMismatch("fan cone in wrong ambient rank")
         self.rank = rank
         self.cones = tuple(seen)
+        self._complete: bool | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fan):
@@ -411,7 +441,14 @@ class Fan:
         a convex subset contains all of it) and lies in both cones, so
         c1 cap c2 = G is a face of both.  See De Loera, Rambau & Santos,
         *Triangulations* (2010), ch. 4, for facet matching of subdivisions.
+
+        The verdict is computed once and kept; is_valid reads it.
         """
+        if self._complete is None:
+            self._complete = self._facets_match()
+        return self._complete
+
+    def _facets_match(self) -> bool:
         n = self.rank
         if n == 0:
             return len(self.cones) == 1 and self.cones[0].dim() == 0

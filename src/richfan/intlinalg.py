@@ -8,16 +8,14 @@ bases, and determinants use the Bareiss scheme so values stay integral.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
 
 
 def vec_gcd(v: Iterable[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive(v: Sequence[int]) -> Vec:
@@ -25,11 +23,15 @@ def primitive(v: Sequence[int]) -> Vec:
     g = vec_gcd(v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
+    if g == 1:
+        return tuple(v)
     return tuple(x // g for x in v)
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("dot of vectors of different lengths")
+    return sum(map(mul, a, b))
 
 
 def vsub(a: Sequence[int], b: Sequence[int]) -> Vec:

@@ -1,14 +1,16 @@
 """Richness ideals, the weakly rich subdivision, cut orders and smoothness.
 
-The two constructions of the subdivision are both here: choice-function cones
-(used for r = 1) and the Newton/min-function fan of the richness ideal (the
-normative route for every finite r).  Their agreement at r = 1 is a tested
-invariant, not an assumption baked into either construction.
+The subdivision has one construction for every finite r: a walk over the
+chambers cut out by the walls of the richness ideal's factors (see
+weakly_rich_fan).  newton_subdivision stays for arbitrary monomial ideals.
+The Newton fan of the whole richness ideal and the enumeration of choice
+functions at r = 1 are test oracles that the walk must match.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -28,7 +30,7 @@ from .errors import (
     is_int_vector,
 )
 from .graphs import Graph
-from .intlinalg import Vec, rank_of
+from .intlinalg import Vec, primitive, rank_of
 from .monoids import MAX_DIVISOR_TUPLES, SharpMonoid, check_r, divisors
 
 _NP_THRESHOLD = 512
@@ -445,6 +447,16 @@ def _cut_template(size: int, r: int) -> MonomialIdeal:
     return MonomialIdeal(size, tuple(map(tuple, _cut_template_rows(size, r).tolist())))
 
 
+def _cut_divisors(cuts: Sequence[tuple[int, ...]], r: int) -> tuple[int, ...]:
+    """The divisors of r, after failing fast when a cut would need more than
+    MAX_DIVISOR_TUPLES divisor tuples."""
+    divs = divisors(r)
+    sizes = {len(c) for c in cuts}
+    if any(len(divs) ** k > MAX_DIVISOR_TUPLES for k in sizes):
+        raise ValueError(f"cut sizes {sorted(sizes)} too large for r={r}")
+    return divs
+
+
 def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
     """Product over all cuts and divisor tuples of the rescaled length ideals.
 
@@ -467,10 +479,7 @@ def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
     cuts = g.cuts()
     if not cuts or n == 0:
         return MonomialIdeal.unit(n)
-    sizes = {len(c) for c in cuts}
-    divs = divisors(r)
-    if any(len(divs) ** k > MAX_DIVISOR_TUPLES for k in sizes):
-        raise ValueError(f"cut sizes {sorted(sizes)} too large for r={r}")
+    divs = _cut_divisors(cuts, r)
     # every divisor tuple of a cut can load one coordinate: r*d**|cut| each
     if sum(r * len(divs) ** len(c) for c in cuts) >= _VALUE_LIMIT:
         raise ValueError(f"exponents of the richness ideal could reach 2**62 at r={r}")
@@ -665,53 +674,138 @@ def _closure_of_choice(n_edges: int, pairs: Iterable[tuple[int, int]]) -> tuple[
     return tuple(rows)
 
 
-def choice_function_fan(g: Graph) -> Fan:
-    """The r = 1 weakly rich fan out of full-dimensional choice cones.
+def _irredundant(n: int, normals: Iterable[tuple[Vec, int, int]]) -> list[Vec]:
+    """Of the inequalities x_e >= w x_h of a full-dimensional chamber, given
+    as (f, h, e) with w = -f[h] / f[e], those the others do not imply.
 
-    Choice functions are grouped by the transitive closure they generate:
-    equal closures give equal cones, and a cone is full dimensional exactly
-    when the closure is antisymmetric, so only distinct antisymmetric
-    closures reach the double description engine.
+    Per pair (h, e) only the largest w is kept: with x_h >= 0 it implies the
+    others.  Let C(h, e) be the largest product of ratios along a path from
+    h to e (Floyd-Warshall, exact).  In a full-dimensional chamber every
+    cycle has product < 1, so best paths are simple.  (h, e) is dropped when
+    C(h, k) C(k, e) >= w for some third k.  By induction on the most edges
+    of a best path from h to e, the kept inequalities still reach C(h, e):
+    a best path of one edge is kept, since a best path through k would have
+    more edges, and a longer one splits at an inner vertex into best paths
+    with fewer.  So with x >= 0 the kept ones imply the dropped ones.
     """
-    g.require_connected()
-    cuts = g.cuts()
-    coords = g.sorted_edge_ids()
-    pos = {e: j for j, e in enumerate(coords)}
-    n = len(coords)
-    if not cuts:
-        return Fan(n, [Cone.from_inequalities(n, [unit(n, j) for j in range(n)])])
-    seen: set[tuple[int, ...]] = set()
-    cones = []
-    for picks in product(*cuts):
-        pairs = [
-            (pos[chosen], pos[e])
-            for c, chosen in zip(cuts, picks)
-            for e in c
-            if e != chosen
-        ]
-        closure = _closure_of_choice(n, pairs)
-        if closure is None or closure in seen:
-            continue
-        seen.add(closure)
-        ineqs = [unit(n, j) for j in range(n)]
-        for a, b in {(a, b) for a, b in pairs}:
-            v = [0] * n
-            v[b] += 1
-            v[a] -= 1
-            ineqs.append(tuple(v))
-        cone = Cone.from_inequalities(n, ineqs)
-        assert cone.dim() == n, "antisymmetric closure must give a full cone"
-        cones.append(cone)
-    return Fan(n, cones)
+    strongest: dict[tuple[int, int], Vec] = {}
+    for f, h, e in normals:
+        old = strongest.get((h, e))
+        if old is None or f[h] * old[e] < old[h] * f[e]:
+            strongest[(h, e)] = f
+    # the diagonal stays None, so k below is always a third vertex
+    best: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n)]
+    for (h, e), f in strongest.items():
+        best[h][e] = (-f[h], f[e])
+    for k in range(n):
+        for h in range(n):
+            a = best[h][k]
+            if a is None:
+                continue
+            for e in range(n):
+                b = best[k][e]
+                if b is None or e == h:
+                    continue
+                num, den = a[0] * b[0], a[1] * b[1]
+                cur = best[h][e]
+                if cur is None or num * cur[1] > cur[0] * den:
+                    best[h][e] = (num, den)
+
+    def implied(h: int, e: int, f: Vec) -> bool:
+        for k in range(n):
+            a, b = best[h][k], best[k][e]
+            if a and b and a[0] * b[0] * f[e] >= -f[h] * a[1] * b[1]:
+                return True
+        return False
+
+    return [f for (h, e), f in strongest.items() if not implied(h, e, f)]
+
+
+def choice_function_fan(g: Graph) -> Fan:
+    """The r = 1 weakly rich fan: its cones are the full-dimensional choice
+    cones, since at r = 1 an argmin pattern is a choice function."""
+    return weakly_rich_fan(g, 1)
 
 
 def weakly_rich_fan(g: Graph, r: int) -> Fan:
-    """The weakly rich subdivision of the orthant of edge lengths."""
+    """The weakly rich subdivision of the orthant of edge lengths.
+
+    The richness ideal is the product, over cuts c and divisor tuples lam of
+    r, of the ideals (x_e^lam_e : e in c), so its Newton fan is the common
+    refinement of the factors' normal fans (Gritzmann & Sturmfels, SIAM J.
+    Discrete Math. 1993).  On the orthant the cells of one factor are where
+    one edge h attains min over e in c of lam_e x_e, and tuples equal up to
+    scaling have the same cells.  A maximal cone is therefore a chamber: the
+    set where every wall (c, lam / gcd(lam)) has one fixed argmin h, cut out
+    by lam_e x_e - lam_h x_h >= 0 and x >= 0, less what _irredundant drops.
+
+    The walk is breadth first over argmin patterns.  It starts at the
+    pattern of p = (1, t, ..., t^(n-1)) with t = r + 1, which lies on no
+    wall: lam_e t^i <= r t^i < t^j <= lam_f t^j for i < j.  A facet whose
+    inner normal f is not a unit vector has a relative interior point q > 0.
+    A wall tied at q contains the facet, or it would split the chamber near
+    q, so f is the primitive normal lam_e x_e - lam_h x_h of the tie, and no
+    third edge ties there (its wall would be another hyperplane through the
+    facet).  The neighbour's pattern, the argmin at q - eps f, is therefore
+    the chamber's with h replaced by e on exactly the walls whose argmin h
+    ties with e along f.  A generic segment between two chambers crosses
+    only such facets, so the walk reaches every chamber.
+    """
     check_r(r, allow_inf=False)
     g.require_connected()
-    if r == 1:
-        return choice_function_fan(g)
-    return newton_subdivision(richness_ideal(g, r))
+    pos = {e: j for j, e in enumerate(g.sorted_edge_ids())}
+    n = len(pos)
+    cuts = g.cuts()
+    divs = _cut_divisors(cuts, r)
+    walls = sorted(
+        {
+            (tuple(pos[e] for e in c), tuple(x // math.gcd(*lam) for x in lam))
+            for c in cuts
+            for lam in product(divs, repeat=len(c))
+        }
+    )
+    # cells[w][j]: (f, h, e) for the inner normals f = lam_k x_k - lam_j x_j,
+    # k != j, of the cell of wall w where j is the argmin, with h = ps[j] and
+    # e = ps[k]; flips[f]: the (w, j, k) tied along f
+    cells: list[list[list[tuple[Vec, int, int]]]] = []
+    flips: dict[Vec, list[tuple[int, int, int]]] = {}
+    for w, (ps, lam) in enumerate(walls):
+        cells.append([[] for _ in ps])
+        for j, k in permutations(range(len(ps)), 2):
+            v = [0] * n
+            v[ps[k]], v[ps[j]] = lam[k], -lam[j]
+            f = primitive(v)
+            cells[w][j].append((f, ps[j], ps[k]))
+            flips.setdefault(f, []).append((w, j, k))
+    units = [unit(n, j) for j in range(n)]
+
+    def chamber(pattern: tuple[int, ...]) -> Cone:
+        normals = dict.fromkeys(c for w, j in enumerate(pattern) for c in cells[w][j])
+        return Cone.full_from_inequalities(n, units + _irredundant(n, normals))
+
+    p = [(r + 1) ** j for j in range(n)]
+    start = tuple(
+        min(range(len(ps)), key=lambda j: lam[j] * p[ps[j]]) for ps, lam in walls
+    )
+    seen = {start}
+    todo = deque([start])
+    cones = []
+    while todo:
+        pattern = todo.popleft()
+        cone = chamber(pattern)
+        cones.append(cone)
+        for f in cone.facet_normals:
+            moves = [(w, k) for w, j, k in flips.get(f, ()) if pattern[w] == j]
+            if not moves:
+                continue  # a facet in a coordinate hyperplane
+            nxt = list(pattern)
+            for w, k in moves:
+                nxt[w] = k
+            nxt = tuple(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return Fan(n, cones)
 
 
 # -- cut orders and choice monoids -------------------------------------------

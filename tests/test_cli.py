@@ -1,6 +1,7 @@
 """Command line driver: exit codes, canonical output, atomic writes."""
 
 import json
+import time
 
 import pytest
 
@@ -102,6 +103,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "SchemaError"
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["subdivide", "smoothness"])
+    def test_divisor_tuple_limit_fails_fast(self, tmp_path, capsys, verb):
+        # 240 divisors of 720720 on the theta graph's 3-edge cut: 240^3 tuples
+        theta = {"vertices": [0, 1], "edges": [{"id": i, "ends": [0, 1]} for i in range(3)]}
+        p = write(tmp_path, "theta.json", theta)
+        t0 = time.process_time()
+        assert main([verb, p, "--r", "720720"]) == 2
+        assert time.process_time() - t0 < 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == '{"error":"ValueError","message":"cut sizes [3] too large for r=720720"}\n'
 
     def test_unknown_verb(self):
         assert main(["frobnicate", "x.json"]) == 2

@@ -23,7 +23,7 @@ from richfan import (
 from richfan.catalog import small_connected_graphs
 from richfan.cones import _is_face_of, double_description, unit
 from richfan.errors import DimensionMismatch
-from richfan.intlinalg import det, dot, hnf_rows, saturated_span
+from richfan.intlinalg import det, dot, hnf_rows, primitive, saturated_span
 
 
 def orthant(k: int) -> Cone:
@@ -227,6 +227,33 @@ class TestDoubleDescription:
         for r, m in zip(rays, masks):
             assert m == sum(1 << k for k, a in enumerate(ineqs) if dot(a, r) == 0)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_full_from_inequalities(self, data):
+        # units keep the cone pointed; zero rows and repeats must not matter
+        n = data.draw(st.integers(1, 5))
+        vec = st.tuples(*[st.integers(-2, 2)] * n)
+        extra = data.draw(st.lists(vec, max_size=6))
+        ineqs = [unit(n, i) for i in range(n)] + extra + extra[:1]
+        plain = Cone.from_inequalities(n, ineqs)
+        assume(plain.dim() == n)
+        full = Cone.full_from_inequalities(n, ineqs)
+        assert full == plain
+        assert full.facet_normals == plain.facet_normals
+        assert full.span_equations == plain.span_equations == ()
+
+    def test_full_from_inequalities_skips_lower_faces(self):
+        # a square cone times a quadrant: x3 + x4 >= 0 is tight on the four
+        # rays of the 3-face square x {0}, as many as a facet of rank 5 has
+        ineqs = [
+            (1, 0, 1, 0, 0), (-1, 0, 1, 0, 0), (0, 1, 1, 0, 0), (0, -1, 1, 0, 0),
+            unit(5, 3), unit(5, 4), (0, 0, 0, 1, 1), (0, 0, 0, 0, 0), (2, 0, 2, 0, 0),
+        ]
+        full = Cone.full_from_inequalities(5, ineqs)
+        assert len(full.rays) == 6
+        assert full.facet_normals == tuple(sorted(primitive(a) for a in ineqs[:6]))
+        assert full.facet_normals == Cone.from_inequalities(5, ineqs).facet_normals
+
 
 class TestContainment:
     def test_interior(self):
@@ -371,6 +398,16 @@ class TestFan:
         rays = [(1, 1), (-1, 2), (-1, -3)]
         plane = Fan(2, [Cone.from_rays(2, [u, v]) for u, v in combinations(rays, 2)])
         assert plane.is_valid() and not plane.is_complete_on_orthant()
+
+    def test_completeness_verdict_is_kept(self, monkeypatch):
+        f = self.two_cone_fan()
+        assert f.is_complete_on_orthant()
+
+        def no_more_certificates(self, v):
+            raise AssertionError("certificate computed twice")
+
+        monkeypatch.setattr(Cone, "contains", no_more_certificates)
+        assert f.is_complete_on_orthant() and f.is_valid()
 
     def test_double_cover_not_complete(self):
         f = Fan(2, [orthant(2), *self.two_cone_fan().cones])

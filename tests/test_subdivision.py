@@ -1,5 +1,6 @@
 """Richness ideals, their fans, choice functions, and smoothness."""
 
+import math
 import random
 from itertools import permutations, product
 
@@ -37,7 +38,7 @@ from richfan.errors import (
 )
 from richfan import subdivision
 from richfan.monoids import divisors
-from richfan.subdivision import _cut_template, _minimalize, _pareto_np
+from richfan.subdivision import _closure_of_choice, _cut_template, _minimalize, _pareto_np
 
 
 def generic_richness(g: Graph, r: int) -> MonomialIdeal:
@@ -75,6 +76,44 @@ def newton_reference(i: MonomialIdeal) -> Fan:
         if c.dim() == n:
             cones.append(c)
     return Fan(n, cones)
+
+
+def newton_fan_reference(g: Graph, r: int) -> Fan:
+    """Reference route for weakly_rich_fan: the Newton fan of the whole
+    richness ideal."""
+    return newton_subdivision(richness_ideal(g, r))
+
+
+def choice_enumeration_fan(g: Graph) -> Fan:
+    """Reference route for the r = 1 fan: every choice function over the
+    product of the cuts, grouped by the transitive closure it generates.
+    Equal closures give equal cones, and a cone is full dimensional exactly
+    when the closure is antisymmetric."""
+    cuts = g.cuts()
+    pos = {e: j for j, e in enumerate(g.sorted_edge_ids())}
+    n = len(pos)
+    seen = set()
+    cones = []
+    for picks in product(*cuts):
+        pairs = {(pos[chosen], pos[e]) for c, chosen in zip(cuts, picks) for e in c if e != chosen}
+        closure = _closure_of_choice(n, pairs)
+        if closure is None or closure in seen:
+            continue
+        seen.add(closure)
+        ineqs = [unit(n, j) for j in range(n)]
+        for a, b in pairs:
+            v = [0] * n
+            v[b] += 1
+            v[a] -= 1
+            ineqs.append(tuple(v))
+        cone = Cone.from_inequalities(n, ineqs)
+        assert cone.dim() == n
+        cones.append(cone)
+    return Fan(n, cones)
+
+
+def cycle(n: int) -> Graph:
+    return Graph.build(range(n), [(i, i, (i + 1) % n) for i in range(n)])
 
 
 TRIANGLE_R1 = {
@@ -408,12 +447,48 @@ class TestNewtonSubdivision:
         square = Graph.build(
             [0, 1, 2, 3], [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)]
         )
-        fan = weakly_rich_fan(square, 2)
+        fan = newton_fan_reference(square, 2)
         assert len(fan.cones) == 336
         assert fan.is_complete_on_orthant() and fan.is_valid()
+        assert fan == weakly_rich_fan(square, 2)
 
     def test_theta_r4(self, theta):
-        assert len(weakly_rich_fan(theta, 4).cones) == 39
+        fan = newton_fan_reference(theta, 4)
+        assert len(fan.cones) == 39
+        assert fan == weakly_rich_fan(theta, 4)
+
+
+class TestChamberWalk:
+    # r = 1 is TestChoiceFunctions::test_fan_equals_newton_fan_small
+    @pytest.mark.parametrize("max_edges, r", [(4, 2), (3, 3)])
+    def test_matches_newton_reference_census(self, max_edges, r):
+        for g in small_connected_graphs(max_edges):
+            assert weakly_rich_fan(g, r) == newton_fan_reference(g, r), (g.to_obj(), r)
+
+    @pytest.mark.parametrize(
+        "n, m, count",
+        [
+            (3, 0, 6), (4, 0, 24), (6, 0, 720), (3, 1, 30), (4, 1, 336), (5, 1, 5040),
+            (2, 2, 6), (3, 2, 72), (4, 2, 1320), (3, 3, 132),
+        ],
+    )
+    def test_cycle_counts_are_extended_catalan(self, n, m, count):
+        # on the n-cycle at r = 2^m the walls are y_e - y_f = k log 2 with
+        # |k| <= m in log coordinates: the m-extended Catalan arrangement, with
+        # n! C((m+1)n, n) / (mn+1) regions (Postnikov & Stanley, JCTA 2000)
+        assert count == math.factorial(n) * math.comb((m + 1) * n, n) // (m * n + 1)
+        fan = weakly_rich_fan(cycle(n), 2**m)
+        assert len(fan.cones) == count
+        assert fan.is_complete_on_orthant()
+
+    def test_duals_match_double_description(self):
+        # the walk's cones carry duals read off the tight masks
+        for g in small_connected_graphs(4):
+            for r in (1, 2):
+                for c in weakly_rich_fan(g, r).cones:
+                    fresh = Cone(c.rank, c.rays, c.lines)
+                    assert c.facet_normals == fresh.facet_normals, (g.to_obj(), r, c)
+                    assert c.span_equations == fresh.span_equations == ()
 
 
 class TestChoiceFunctions:
@@ -454,7 +529,9 @@ class TestChoiceFunctions:
 
     def test_fan_equals_newton_fan_small(self):
         for g in small_connected_graphs(4):
-            assert choice_function_fan(g) == weakly_rich_fan(g, 1)
+            fan = choice_function_fan(g)
+            assert fan == newton_fan_reference(g, 1), g.to_obj()
+            assert fan == choice_enumeration_fan(g), g.to_obj()
 
 
 BANANA_TRIANGLE = Graph.build(
