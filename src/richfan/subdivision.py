@@ -37,21 +37,46 @@ _NP_THRESHOLD = 512
 _VALUE_LIMIT = 1 << 62
 _BITSET_VMAX = 4096
 _BITSET_CELLS = 200_000_000
-_RICHNESS_CACHE_LIMIT = 20_000
+_RICHNESS_CACHE_LIMIT = 20_000  # generators per cached ideal
+_RICHNESS_CACHE_ENTRIES = 1024  # cached ideals; the oldest is evicted first
+_TEMPLATE_CACHE_ENTRIES = 64  # (cut size, r) pairs per template cache
+MAX_WALLS = 4096
 _richness_cache: dict[tuple, "MonomialIdeal"] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialIdeal:
     """A monomial ideal in N^rank, stored by its minimal generators.
 
-    Every exponent is below 2**62, so the sum of two exponents fits in int64.
-    from_generators rejects larger exponents and ideal_product rejects
-    products that would reach the limit, both with ValueError (CLI exit 2).
+    rows holds them as one lex-sorted, read-only int64 array of shape
+    (count, rank).  The constructor takes them minimal and lex-sorted, as an
+    array or as tuples, and stores a read-only int64 view (the caller's array
+    stays writeable); generators builds the tuples on each access.  == and
+    hash compare rank and rows.  Every exponent is below 2**62, so the sum of
+    two exponents fits in int64.  from_generators rejects larger exponents and
+    ideal_product rejects products that would reach the limit, both with
+    ValueError (CLI exit 2).
     """
 
     rank: int
-    generators: tuple[Vec, ...]
+    rows: "np.ndarray"
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.rows, dtype=np.int64).reshape(len(self.rows), self.rank)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def generators(self) -> tuple[Vec, ...]:
+        return tuple(map(tuple, self.rows.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonomialIdeal):
+            return NotImplemented
+        return self.rank == other.rank and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.rows.tobytes()))
 
     @staticmethod
     def from_generators(rank: int, gens: Iterable[Sequence[int]]) -> "MonomialIdeal":
@@ -67,14 +92,14 @@ class MonomialIdeal:
             vs.append(v)
         if not vs:
             raise ValueError("a monomial ideal needs at least one generator")
-        return MonomialIdeal(rank, _minimalize(rank, vs))
+        return MonomialIdeal(rank, _pareto_np(np.array(vs, dtype=np.int64).reshape(len(vs), rank)))
 
     @staticmethod
     def unit(rank: int) -> "MonomialIdeal":
-        return MonomialIdeal(rank, (tuple(0 for _ in range(rank)),))
+        return MonomialIdeal(rank, np.zeros((1, rank), dtype=np.int64))
 
     def to_obj(self) -> dict:
-        return {"rank": self.rank, "generators": [list(g) for g in self.generators]}
+        return {"rank": self.rank, "generators": self.rows.tolist()}
 
     @staticmethod
     def from_obj(obj: object) -> "MonomialIdeal":
@@ -91,25 +116,39 @@ class MonomialIdeal:
         return MonomialIdeal.from_generators(rank, [tuple(g) for g in gens])
 
 
-def _minimalize(rank: int, cands: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
-    """Componentwise-minimal elements of a candidate set, lex-sorted."""
-    uniq = sorted(set(tuple(v) for v in cands))
-    if len(uniq) <= _NP_THRESHOLD or rank == 0:
-        return _minimalize_small(uniq)
-    return _gens(_pareto_np(np.array(uniq, dtype=np.int64)))
+def _unique_rows(a: "np.ndarray") -> "np.ndarray":
+    """The distinct rows of a 2-d int64 array in lex order, as numpy's unique
+    along axis 0 returns them.  Each run of adjacent columns whose value
+    ranges multiply to less than 2**64 is packed into one uint64 word (digits
+    base max - min + 1, so word order is lex order); one lexsort of the words
+    and a compare of adjacent words follow."""
+    n, k = a.shape
+    if k == 0 or n <= 1:
+        return a[:1].copy()
+    words: list[np.ndarray] = []
+    span = 1 << 64  # the first column starts a word
+    for col in a.T:
+        lo = int(col.min())
+        base = int(col.max()) - lo + 1
+        digit = (col - lo).view(np.uint64)
+        if span * base < 1 << 64:
+            words[-1] = words[-1] * np.uint64(base) + digit
+            span *= base
+        else:
+            words.append(digit)
+            span = base
+    order = np.lexsort(words[::-1])
+    w = np.stack(words)[:, order]
+    return a[order[np.r_[True, (w[:, 1:] != w[:, :-1]).any(axis=0)]]]
 
 
-def _gens(arr: "np.ndarray") -> tuple[Vec, ...]:
-    """The rows of an int64 array as lex-sorted generator tuples."""
-    return tuple(sorted(map(tuple, arr.tolist())))
-
-
-def _minimalize_small(uniq: list[Vec]) -> tuple[Vec, ...]:
+def _minimalize_small(uniq: Iterable[Vec]) -> list[Vec]:
+    """Componentwise-minimal elements of a set of tuples, lex-sorted."""
     kept: list[Vec] = []
     for v in sorted(uniq, key=lambda t: (sum(t), t)):
         if not any(all(k[i] <= v[i] for i in range(len(v))) for k in kept):
             kept.append(v)
-    return tuple(sorted(kept))
+    return sorted(kept)
 
 
 def _fold_append(
@@ -169,46 +208,51 @@ def _direct_kill(
 
 
 def _pareto_np(arr: "np.ndarray") -> "np.ndarray":
-    """Minimal rows under componentwise <=, returned in (sum, lex) order.
+    """Minimal rows under componentwise <=, returned lex-sorted.
 
-    Rows are processed sum level by sum level; within a level only equal rows
-    relate, so each level is deduplicated after screening instead of sorting
-    the whole input up front.  Screening against the kept rows runs on packed
-    bit tables (one per coordinate, indexed by threshold) when values are
-    small, with a dense compare for the not-yet-folded tail; otherwise every
-    kept row goes through the dense compare.
+    Duplicates are dropped first (_unique_rows), and a stable sort by sum
+    then groups the distinct rows into sum levels, lex-sorted within each.
+    Distinct rows of one level never relate, so each level is screened only
+    against the rows kept from lower levels.  Screening runs on packed bit
+    tables (one per coordinate, indexed by threshold) when values are small,
+    with a dense compare for the not-yet-folded tail; otherwise every kept
+    row goes through the dense compare.  When a row sum could overflow
+    int64, the sums are taken exactly as Python ints.
     """
     n, k = arr.shape
     if k == 0:
         return arr[:1].copy()
     if n <= 1:
         return arr.copy()
-    sums = arr.sum(axis=1)
+    lex = _unique_rows(arr)
+    n = lex.shape[0]
+    vmax = int(lex.max())
+    sums = lex.sum(axis=1) if vmax * k < 1 << 63 else lex.sum(axis=1, dtype=object)
     order = np.argsort(sums, kind="stable")
-    arr = arr[order]
     sums = sums[order]
     starts = np.flatnonzero(np.r_[True, sums[1:] != sums[:-1]])
     ends = np.r_[starts[1:], n]
-    kept = np.empty((n, k), dtype=arr.dtype)
+    kept = np.empty((n, k), dtype=lex.dtype)
+    survives = np.zeros(n, dtype=bool)
     nk = 0
     nbits = 0
-    vmax = int(arr.max())
     use_bits = vmax <= _BITSET_VMAX and (vmax + 1) * ((n + 7) >> 3) * k <= _BITSET_CELLS
     bits: list[np.ndarray] | None = None
     cap = 0
     for s0, s1 in zip(starts, ends):
-        block = arr[s0:s1]
+        idx = order[s0:s1]
+        block = lex[idx]
         if nk:
             alive = np.ones(block.shape[0], dtype=bool)
             if bits is not None:
                 _bitset_kill(block, alive, bits, nbits, k)
             _direct_kill(block, alive, kept[nbits:nk])
-            block = np.unique(block[alive], axis=0)
-        else:
-            block = np.unique(block, axis=0)
+            block = block[alive]
+            idx = idx[alive]
         m = block.shape[0]
         if m:
             kept[nk : nk + m] = block
+            survives[idx] = True
             nk += m
             if use_bits and nk - nbits >= 8:
                 fold_to = nk & ~7
@@ -222,7 +266,7 @@ def _pareto_np(arr: "np.ndarray") -> "np.ndarray":
                     bits = grown
                 _fold_append(bits, kept, nbits, fold_to, vmax)
                 nbits = fold_to
-    return kept[:nk].copy()
+    return lex[survives]
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -230,16 +274,10 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     if a.rank != b.rank:
         raise DimensionMismatch("ideals live in different ranks")
     rank = a.rank
-    ga, gb = a.generators, b.generators
-    if rank and max(map(max, ga)) + max(map(max, gb)) >= _VALUE_LIMIT:
+    if rank and int(a.rows.max()) + int(b.rows.max()) >= _VALUE_LIMIT:
         raise ValueError("product exponents would reach 2**62")
-    if len(ga) * len(gb) > 4096:
-        arr_a = np.array(ga, dtype=np.int64)
-        arr_b = np.array(gb, dtype=np.int64)
-        sums = (arr_a[:, None, :] + arr_b[None, :, :]).reshape(-1, rank)
-        return MonomialIdeal(rank, _gens(_pareto_np(sums)))
-    cands = [tuple(x + y for x, y in zip(u, v)) for u in ga for v in gb]
-    return MonomialIdeal(rank, _minimalize(rank, cands))
+    sums = (a.rows[:, None, :] + b.rows[None, :, :]).reshape(len(a.rows) * len(b.rows), rank)
+    return MonomialIdeal(rank, _pareto_np(sums))
 
 
 def ideal_product_many(rank: int, ideals: Iterable[MonomialIdeal]) -> MonomialIdeal:
@@ -251,7 +289,7 @@ def ideal_product_many(rank: int, ideals: Iterable[MonomialIdeal]) -> MonomialId
     for i in ideals:
         if i.rank != rank:
             raise DimensionMismatch("ideals live in different ranks")
-        heap.append((len(i.generators), tie, i))
+        heap.append((len(i.rows), tie, i))
         tie += 1
     if not heap:
         return MonomialIdeal.unit(rank)
@@ -260,7 +298,7 @@ def ideal_product_many(rank: int, ideals: Iterable[MonomialIdeal]) -> MonomialId
         _, _, x = heapq.heappop(heap)
         _, _, y = heapq.heappop(heap)
         p = ideal_product(x, y)
-        heapq.heappush(heap, (len(p.generators), tie, p))
+        heapq.heappush(heap, (len(p.rows), tie, p))
         tie += 1
     return heap[0][2]
 
@@ -277,40 +315,39 @@ def pullback_to_contraction(i: MonomialIdeal, s: Iterable[int]) -> MonomialIdeal
             raise UnknownCoordinate(f"coordinate {t} out of range")
     keep = [j for j in range(i.rank) if j not in drop]
     rank = len(keep)
-    if len(i.generators) > _NP_THRESHOLD:
-        arr = np.array(i.generators, dtype=np.int64)[:, keep]
-        return MonomialIdeal(rank, _gens(_pareto_np(arr)))
-    gens_py = [tuple(g[j] for j in keep) for g in i.generators]
-    return MonomialIdeal(rank, _minimalize(rank, gens_py))
+    if len(i.rows) > _NP_THRESHOLD:
+        return MonomialIdeal(rank, _pareto_np(i.rows[:, keep]))
+    return MonomialIdeal(rank, _minimalize_small(set(map(tuple, i.rows[:, keep].tolist()))))
 
 
 Blocks = tuple[tuple[int, ...], ...]
 
 
 def _block_canon(arr: "np.ndarray", blocks: Blocks) -> "np.ndarray":
-    """Sort each row's entries within every block: the canonical orbit
-    representative under the group permuting coordinates block-wise."""
-    out = arr.copy()
+    """Sort each row's entries within every block, in place: the canonical
+    orbit representative under the group permuting coordinates block-wise."""
     for b in blocks:
         if len(b) > 1:
             cols = list(b)
-            out[:, cols] = np.sort(out[:, cols], axis=1)
-    return out
+            sub = arr[:, cols]
+            sub.sort(axis=1)
+            arr[:, cols] = sub
+    return arr
 
 
 def _expand_rows(arr: "np.ndarray", blocks: Blocks) -> "np.ndarray":
-    """All distinct images of the rows under block-wise coordinate permutations."""
+    """All distinct images of the rows under block-wise coordinate
+    permutations, lex-sorted (arr itself when no block moves)."""
     out = arr
     for b in blocks:
         if len(b) <= 1:
             continue
         cols = list(b)
-        pieces = []
-        for p in permutations(range(len(cols))):
-            img = out.copy()
-            img[:, cols] = out[:, [cols[i] for i in p]]
-            pieces.append(img)
-        out = np.unique(np.concatenate(pieces), axis=0)
+        perms = list(permutations(cols))
+        imgs = np.repeat(out[None], len(perms), axis=0)
+        for img, p in zip(imgs, perms):
+            img[:, cols] = out[:, list(p)]
+        out = _unique_rows(imgs.reshape(-1, out.shape[1]))
     return out
 
 
@@ -385,7 +422,7 @@ def _embed_rows(tpl: "np.ndarray", support: Sequence[int], n: int) -> "np.ndarra
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TEMPLATE_CACHE_ENTRIES)
 def _cut_template_reps(size: int, r: int) -> "np.ndarray":
     """Sorted-row representatives of the minimal generators of the per-cut
     ideal: the product over all divisor tuples of r of the rescaled length
@@ -424,11 +461,10 @@ def _cut_template_reps(size: int, r: int) -> "np.ndarray":
     return cur
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TEMPLATE_CACHE_ENTRIES)
 def _cut_template_rows(size: int, r: int) -> "np.ndarray":
     """Minimal generators of the per-cut ideal in rank `size` (the product over
-    divisor tuples of r), as a lex-sorted, read-only int64 array;
-    _cut_template gives it as a MonomialIdeal.
+    divisor tuples of r), as a lex-sorted, read-only int64 array.
 
     Depends on the cut only through its size, up to coordinate permutation,
     so templates are shared across cuts and graphs.
@@ -438,13 +474,9 @@ def _cut_template_rows(size: int, r: int) -> "np.ndarray":
         raise ValueError(
             f"cut of size {size} needs {len(divs) ** size} divisor tuples for r={r}"
         )
-    full = np.unique(_expand_rows(_cut_template_reps(size, r), (tuple(range(size)),)), axis=0)
+    full = _expand_rows(_cut_template_reps(size, r), (tuple(range(size)),))
     full.flags.writeable = False
     return full
-
-
-def _cut_template(size: int, r: int) -> MonomialIdeal:
-    return MonomialIdeal(size, tuple(map(tuple, _cut_template_rows(size, r).tolist())))
 
 
 def _cut_divisors(cuts: Sequence[tuple[int, ...]], r: int) -> tuple[int, ...]:
@@ -519,8 +551,10 @@ def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
             pieces.append(_pareto_np(_block_canon(part, new_blocks)))
         cur = pieces[0] if len(pieces) == 1 else _pareto_np(np.concatenate(pieces))
         old_blocks = new_blocks
-    out = MonomialIdeal(n, _gens(_expand_rows(cur, old_blocks)))
-    if len(out.generators) <= _RICHNESS_CACHE_LIMIT:
+    out = MonomialIdeal(n, _expand_rows(cur, old_blocks))
+    if len(out.rows) <= _RICHNESS_CACHE_LIMIT:
+        if len(_richness_cache) >= _RICHNESS_CACHE_ENTRIES:
+            del _richness_cache[next(iter(_richness_cache))]
         _richness_cache[cache_key] = out
     return out
 
@@ -750,6 +784,8 @@ def weakly_rich_fan(g: Graph, r: int) -> Fan:
     the chamber's with h replaced by e on exactly the walls whose argmin h
     ties with e along f.  A generic segment between two chambers crosses
     only such facets, so the walk reaches every chamber.
+
+    More than MAX_WALLS walls raise ValueError before the first chamber.
     """
     check_r(r, allow_inf=False)
     g.require_connected()
@@ -764,6 +800,8 @@ def weakly_rich_fan(g: Graph, r: int) -> Fan:
             for lam in product(divs, repeat=len(c))
         }
     )
+    if len(walls) > MAX_WALLS:
+        raise ValueError(f"{len(walls)} walls exceed the limit of {MAX_WALLS} for r={r}")
     # cells[w][j]: (f, h, e) for the inner normals f = lam_k x_k - lam_j x_j,
     # k != j, of the cell of wall w where j is the argmin, with h = ps[j] and
     # e = ps[k]; flips[f]: the (w, j, k) tied along f

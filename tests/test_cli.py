@@ -116,6 +116,19 @@ class TestExitCodes:
         assert out == ""
         assert err == '{"error":"ValueError","message":"cut sizes [3] too large for r=720720"}\n'
 
+    @pytest.mark.parametrize("verb", ["subdivide", "smoothness"])
+    def test_wall_limit_fails_fast(self, tmp_path, capsys, verb):
+        # 30 divisors of 720 on the theta graph's 3-edge cut: 27,000 tuples,
+        # under the divisor-tuple cap, but 8,113 distinct walls
+        theta = {"vertices": [0, 1], "edges": [{"id": i, "ends": [0, 1]} for i in range(3)]}
+        p = write(tmp_path, "theta.json", theta)
+        t0 = time.process_time()
+        assert main([verb, p, "--r", "720"]) == 2
+        assert time.process_time() - t0 < 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == '{"error":"ValueError","message":"8113 walls exceed the limit of 4096 for r=720"}\n'
+
     def test_unknown_verb(self):
         assert main(["frobnicate", "x.json"]) == 2
 

@@ -38,7 +38,13 @@ from richfan.errors import (
 )
 from richfan import subdivision
 from richfan.monoids import divisors
-from richfan.subdivision import _closure_of_choice, _cut_template, _minimalize, _pareto_np
+from richfan.subdivision import (
+    _closure_of_choice,
+    _cut_template_rows,
+    _minimalize_small,
+    _pareto_np,
+    _unique_rows,
+)
 
 
 def generic_richness(g: Graph, r: int) -> MonomialIdeal:
@@ -65,10 +71,11 @@ def newton_reference(i: MonomialIdeal) -> Fan:
     generator m, cutting the orthant by <m' - m, x> >= 0 for every other
     generator m', keeping the full-dimensional cones."""
     n = i.rank
+    gens = i.generators
     cones = []
-    for m in i.generators:
+    for m in gens:
         ineqs = [unit(n, j) for j in range(n)]
-        for m2 in i.generators:
+        for m2 in gens:
             if m2 is m:
                 continue
             ineqs.append(tuple(a - b for a, b in zip(m2, m)))
@@ -110,6 +117,11 @@ def choice_enumeration_fan(g: Graph) -> Fan:
         assert cone.dim() == n
         cones.append(cone)
     return Fan(n, cones)
+
+
+def _cut_template(size: int, r: int) -> MonomialIdeal:
+    """The per-cut ideal of one cut of the given size, as a MonomialIdeal."""
+    return MonomialIdeal(size, _cut_template_rows(size, r))
 
 
 def cycle(n: int) -> Graph:
@@ -169,7 +181,8 @@ class TestMonomialIdeal:
     )
     @settings(max_examples=150, deadline=None)
     def test_minimalize_matches_brute_force(self, gens):
-        assert set(_minimalize(3, gens)) == brute_minimal(gens)
+        assert set(_minimalize_small(set(gens))) == brute_minimal(gens)
+        assert set(MonomialIdeal.from_generators(3, gens).generators) == brute_minimal(gens)
 
     @pytest.mark.parametrize("scale", [1, 7, 300, 5000, 1 << 40])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -188,7 +201,7 @@ class TestMonomialIdeal:
         arr = np.concatenate([rows, dominated, rows[:20]]) * scale
         arr = arr[rng.permutation(len(arr))]
         got = [tuple(row) for row in _pareto_np(arr).tolist()]
-        assert len(got) == len(set(got))
+        assert got == sorted(set(got))
         assert set(got) == brute_minimal([tuple(row) for row in arr.tolist()])
 
     def test_exponent_limit_rejected(self):
@@ -255,6 +268,149 @@ class TestMonomialIdeal:
     def test_round_trip(self):
         i = MonomialIdeal.from_generators(2, [(1, 0), (0, 2)])
         assert MonomialIdeal.from_obj(i.to_obj()).generators == i.generators
+
+
+@st.composite
+def int64_rows(draw):
+    """A 2-d int64 array with repeated rows, 0 to 30 rows and 0 to 4
+    columns, with values in one of a few ranges up to all of int64."""
+    k = draw(st.integers(0, 4))
+    lo, hi = draw(
+        st.sampled_from(
+            [(0, 3), (-5, 5), (0, 1000), (0, (1 << 62) - 1), (-(1 << 62), (1 << 62) - 1), (-(1 << 63), (1 << 63) - 1)]
+        )
+    )
+    row = st.lists(st.integers(lo, hi), min_size=k, max_size=k)
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), k)
+
+
+class TestRows:
+    """MonomialIdeal keeps its minimal generators as one lex-sorted,
+    read-only int64 array; generators is the same set as tuples."""
+
+    @given(int64_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_unique_rows_matches_numpy(self, a):
+        got = _unique_rows(a)
+        want = np.unique(a, axis=0)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_unique_rows_word_boundaries(self):
+        # words here: [all of int64], [two 0/1 columns packed], [all of int64]
+        top, bot = (1 << 63) - 1, -(1 << 63)
+        a = np.array(
+            [[top, 1, 0, top], [bot, 0, 1, bot], [0, 1, 1, 0], [bot, 0, 1, bot], [bot, 1, 0, bot]],
+            dtype=np.int64,
+        )
+        assert np.array_equal(_unique_rows(a), np.unique(a, axis=0))
+        # 2 * 2**63 codes do not fit below 2**64: two words
+        b = np.array([[1, (1 << 62) - 1], [0, -(1 << 62)], [1, -(1 << 62)], [0, 0], [1, -(1 << 62)]], dtype=np.int64)
+        assert np.array_equal(_unique_rows(b), np.unique(b, axis=0))
+
+    @staticmethod
+    def routes(triangle):
+        square = cycle(4)
+        big = richness_ideal(square, 2)
+        pairs = [
+            MonomialIdeal.from_generators(3, [unit(3, i), unit(3, j)])
+            for i in range(3)
+            for j in range(i + 1, 3)
+        ]
+        return [
+            MonomialIdeal.from_generators(3, [(2, 0, 1), (0, 1, 5), (1, 1, 1), (2, 0, 3)]),
+            MonomialIdeal.from_generators(4, big.generators),
+            MonomialIdeal.unit(0),
+            MonomialIdeal.unit(2),
+            ideal_product(pairs[0], pairs[1]),
+            ideal_product(big, MonomialIdeal.from_generators(4, [(1, 0, 0, 0), (0, 0, 0, 2)])),
+            ideal_product_many(3, pairs),
+            pullback_to_contraction(richness_ideal(triangle, 1), [0]),
+            pullback_to_contraction(big, [0]),
+            pullback_to_contraction(big, [0, 1, 2, 3]),
+            richness_ideal(triangle, 1),
+            big,
+        ]
+
+    def test_rows_on_every_route(self, triangle):
+        for i in self.routes(triangle):
+            rows = i.rows
+            assert not rows.flags.writeable
+            assert rows.dtype == np.int64
+            want = np.array(i.generators, dtype=np.int64).reshape(len(i.generators), i.rank)
+            assert np.array_equal(rows, want)
+            assert list(i.generators) == sorted(set(i.generators))
+            assert i.to_obj() == {"rank": i.rank, "generators": [list(g) for g in i.generators]}
+
+    def test_equality_and_hash_across_routes(self, triangle):
+        square = cycle(4)
+        contracted = richness_ideal(square.contract([0]), 2)
+        pulled = pullback_to_contraction(richness_ideal(square, 2), [0])
+        tri = richness_ideal(triangle, 1)
+        pairs = [
+            MonomialIdeal.from_generators(3, [unit(3, i), unit(3, j)])
+            for i in range(3)
+            for j in range(i + 1, 3)
+        ]
+        for ideal, others in (
+            (
+                contracted,
+                [
+                    pulled,
+                    MonomialIdeal.from_generators(3, reversed(pulled.generators)),
+                    MonomialIdeal.from_obj(pulled.to_obj()),
+                    ideal_product(pulled, MonomialIdeal.unit(3)),
+                ],
+            ),
+            (
+                tri,
+                [
+                    ideal_product_many(3, pairs),
+                    MonomialIdeal.from_generators(3, TRIANGLE_R1),
+                    pullback_to_contraction(richness_ideal(cycle(4), 1), [0]),
+                ],
+            ),
+        ):
+            for other in others:
+                assert other == ideal and hash(other) == hash(ideal)
+        assert tri != MonomialIdeal.from_generators(3, list(TRIANGLE_R1)[1:])
+        assert MonomialIdeal.unit(2) != MonomialIdeal.unit(3)
+
+    def test_constructor_takes_any_integer_rows(self):
+        # int32 rows and tuples store the same int64 rows as the int64 route,
+        # so == and hash agree; the caller's array stays writeable
+        gens = ((0, 2), (1, 1), (3, 0))
+        want = MonomialIdeal.from_generators(2, gens)
+        small = np.array(gens, dtype=np.int32)
+        for i in (MonomialIdeal(2, small), MonomialIdeal(2, gens), MonomialIdeal(2, want.rows)):
+            assert i.rows.dtype == np.int64 and not i.rows.flags.writeable
+            assert i == want and hash(i) == hash(want)
+        assert small.flags.writeable
+        assert MonomialIdeal(0, ((),)) == MonomialIdeal.unit(0)
+
+    @pytest.mark.parametrize("big", [1 << 63, 1 << 62])
+    def test_exponent_at_limit_from_obj(self, big):
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_obj({"rank": 1, "generators": [[big]]})
+
+    def test_row_sums_beyond_int64(self):
+        # three exponents near 2**62 sum past 2**63; over 512 distinct rows
+        # take the array route, which must still see (0, 0, top) <= (top, top, top)
+        top = (1 << 62) - 1
+        gens = [(top, top, top), (0, 0, top)] + [(i, 600 - i, 0) for i in range(600)]
+        i = MonomialIdeal.from_generators(3, gens)
+        assert set(i.generators) == set(gens[1:])
+
+    def test_caches_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(subdivision, "_RICHNESS_CACHE_ENTRIES", 2)
+        monkeypatch.setattr(subdivision, "_richness_cache", {})
+        for n in (2, 3, 4):
+            richness_ideal(cycle(n), 1)
+        assert [key[0] for key in subdivision._richness_cache] == [3, 4]
+        for cached in (subdivision._cut_template_rows, subdivision._cut_template_reps):
+            assert cached.cache_info().maxsize == subdivision._TEMPLATE_CACHE_ENTRIES
 
 
 class TestRichnessIdeal:
