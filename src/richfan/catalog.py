@@ -14,6 +14,7 @@ from itertools import permutations
 from .graphs import Graph
 
 Pair = tuple[int, int]
+_CENSUS_CACHE_ENTRIES = 4  # edge bounds; the least recently used goes first
 
 
 def _refine_colors(nv: int, edges: tuple[Pair, ...]) -> list[int]:
@@ -94,7 +95,7 @@ def _grow(nv: int, edges: tuple[Pair, ...]) -> set[tuple[int, tuple[Pair, ...]]]
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CENSUS_CACHE_ENTRIES)
 def _census(max_edges: int) -> tuple[tuple[int, tuple[Pair, ...]], ...]:
     levels: list[set[tuple[int, tuple[Pair, ...]]]] = [{(1, ())}]
     for _ in range(max_edges):

@@ -11,7 +11,23 @@ from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraph, SchemaError, UnknownEdge, is_int, is_int_vector
 
-MAX_CUT_VERTICES = 22  # 2^(n-1) bipartitions are enumerated
+# safety limit: cuts walks every connected vertex set through the first
+# vertex, up to 2^(n-1) of them on a complete graph
+MAX_CUT_VERTICES = 22
+
+
+def _bits_connected(verts: int, nbr: list[int]) -> bool:
+    """Whether the vertex bitmask verts induces a connected subgraph."""
+    seen = frontier = verts & -verts
+    while frontier:
+        grow = 0
+        while frontier:
+            v = frontier & -frontier
+            grow |= nbr[v.bit_length() - 1]
+            frontier ^= v
+        frontier = grow & verts & ~seen
+        seen |= frontier
+    return seen == verts
 
 
 @dataclass(frozen=True, order=True)
@@ -94,47 +110,40 @@ class Graph:
     def cuts(self) -> list[tuple[int, ...]]:
         """All minimal disconnecting edge sets (bonds), as sorted id tuples.
 
-        Enumerated over connected vertex bipartitions; loops never appear.
+        A bond is the crossing set of a bipartition into two connected sides.
+        Over vertex bitmasks, every connected side S that holds the first
+        vertex is reached exactly once by branching on the lowest open
+        neighbour of S: take it into S, or ban it.  S gives a bond when its
+        complement is non-empty and connected.  Loops never appear.
         """
         self.require_connected()
         n = len(self.vertices)
         if n > MAX_CUT_VERTICES:
             raise ValueError("too many vertices for cut enumeration")
-        if n == 1:
-            return []
-        vs = list(self.vertices)
-        rest = vs[1:]
-        out = set()
-        for mask in range(2 ** (n - 1) - 1):
-            side = {vs[0]}
-            for i, v in enumerate(rest):
-                if mask >> i & 1:
-                    side.add(v)
-            other = [v for v in vs if v not in side]
-            if self._induced_connected(side) and self._induced_connected(set(other)):
-                cut = tuple(
-                    sorted(
-                        e.id
-                        for e in self.edges
-                        if not e.is_loop and (e.u in side) != (e.v in side)
-                    )
-                )
-                out.add(cut)
+        index = {v: i for i, v in enumerate(self.vertices)}
+        nbr = [0] * n
+        ends = []  # (id, both end bits), by id
+        for e in sorted(self.edges):
+            if not e.is_loop:
+                u, v = index[e.u], index[e.v]
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+                ends.append((e.id, 1 << u | 1 << v))
+        full = (1 << n) - 1
+        out = []
+        stack = [(1, 1, nbr[0])]  # (side, side | banned, neighbours of side)
+        while stack:
+            side, closed, reach = stack.pop()
+            open_ = reach & ~closed
+            if open_:
+                v = open_ & -open_
+                stack.append((side, closed | v, reach))
+                stack.append((side | v, closed | v, reach | nbr[v.bit_length() - 1]))
+                continue
+            rest = full & ~side
+            if rest and _bits_connected(rest, nbr):
+                out.append(tuple(eid for eid, uv in ends if uv & side and uv & rest))
         return sorted(out)
-
-    def _induced_connected(self, side: set[int]) -> bool:
-        start = next(iter(side))
-        seen = {start}
-        frontier = [start]
-        adj = self.adjacency()
-        while frontier:
-            v = frontier.pop()
-            for e in adj[v]:
-                w = e.other(v)
-                if w in side and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(side)
 
     def blocks(self) -> list[tuple[int, ...]]:
         """Circuit blocks: loops as singletons plus biconnected components.

@@ -20,6 +20,7 @@ from .intlinalg import Vec, is_zero, primitive, vec_gcd, vsub
 INF = math.inf
 MAX_R = 10**6
 MAX_DIVISOR_TUPLES = 2_000_000
+_DIVISORS_CACHE_ENTRIES = 1024  # values of r; the least recently used goes first
 
 
 def check_r(r, allow_inf: bool = True) -> None:
@@ -33,7 +34,7 @@ def check_r(r, allow_inf: bool = True) -> None:
         raise ValueError(f"r larger than {MAX_R} is not supported")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_DIVISORS_CACHE_ENTRIES)
 def divisors(r: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, r + 1) if r % d == 0)
 

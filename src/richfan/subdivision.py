@@ -9,14 +9,14 @@ functions at r = 1 are test oracles that the walk must match.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .cones import Cone, Fan, double_description, is_unimodular, unit
 from .curves import RealFamily
@@ -33,10 +33,30 @@ from .graphs import Graph
 from .intlinalg import Vec, primitive, rank_of
 from .monoids import MAX_DIVISOR_TUPLES, SharpMonoid, check_r, divisors
 
+
+def _lazy_import(name: str):
+    """The module `name`, executed on its first attribute access; the module
+    itself when it is already imported."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# only the ideal layer uses numpy, and most CLI requests build no ideal
+np = _lazy_import("numpy")
+
 _NP_THRESHOLD = 512
 _VALUE_LIMIT = 1 << 62
 _BITSET_VMAX = 4096
 _BITSET_CELLS = 200_000_000
+_CHUNK_ROWS = 4_000_000  # rows (or row pairs) one broadcast step builds
 _RICHNESS_CACHE_LIMIT = 20_000  # generators per cached ideal
 _RICHNESS_CACHE_ENTRIES = 1024  # cached ideals; the oldest is evicted first
 _TEMPLATE_CACHE_ENTRIES = 64  # (cut size, r) pairs per template cache
@@ -180,7 +200,7 @@ def _bitset_kill(
     rows, the ones folded into the bit tables (nbits is a multiple of 8)."""
     idx = np.flatnonzero(alive)
     width = nbits >> 3
-    chunk = max(256, 4_000_000 // width)
+    chunk = max(256, _CHUNK_ROWS // width)
     for c0 in range(0, idx.size, chunk):
         ii = idx[c0 : c0 + chunk]
         sub = block[ii]
@@ -199,7 +219,7 @@ def _direct_kill(
     idx = np.flatnonzero(alive)
     if not idx.size or not pc.shape[0]:
         return
-    chunk = max(256, 4_000_000 // max(1, pc.shape[0]))
+    chunk = max(256, _CHUNK_ROWS // max(1, pc.shape[0]))
     for c0 in range(0, idx.size, chunk):
         ii = idx[c0 : c0 + chunk]
         dom = (pc[None, :, :] <= block[ii][:, None, :]).all(2).any(1)
@@ -276,8 +296,7 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     rank = a.rank
     if rank and int(a.rows.max()) + int(b.rows.max()) >= _VALUE_LIMIT:
         raise ValueError("product exponents would reach 2**62")
-    sums = (a.rows[:, None, :] + b.rows[None, :, :]).reshape(len(a.rows) * len(b.rows), rank)
-    return MonomialIdeal(rank, _pareto_np(sums))
+    return MonomialIdeal(rank, _sum_rows(a.rows, b.rows, ()))
 
 
 def ideal_product_many(rank: int, ideals: Iterable[MonomialIdeal]) -> MonomialIdeal:
@@ -333,6 +352,22 @@ def _block_canon(arr: "np.ndarray", blocks: Blocks) -> "np.ndarray":
             sub.sort(axis=1)
             arr[:, cols] = sub
     return arr
+
+
+def _sum_rows(a: "np.ndarray", b: "np.ndarray", blocks: Blocks) -> "np.ndarray":
+    """Minimal block-canonical rows of {x + y : x in a, y in b}, lex-sorted.
+
+    The sums are built for one chunk of a at a time, about _CHUNK_ROWS rows
+    (at least one row of a) per chunk.  Each chunk is screened, then the
+    survivors of all chunks are screened once more.
+    """
+    step = max(1, _CHUNK_ROWS // max(1, len(b)))
+    pieces = []
+    for lo in range(0, len(a), step):
+        part = a[lo : lo + step, None, :] + b[None, :, :]
+        part = part.reshape(part.shape[0] * len(b), a.shape[1])
+        pieces.append(_pareto_np(_block_canon(part, blocks)))
+    return pieces[0] if len(pieces) == 1 else _pareto_np(np.concatenate(pieces))
 
 
 def _expand_rows(arr: "np.ndarray", blocks: Blocks) -> "np.ndarray":
@@ -451,13 +486,7 @@ def _cut_template_reps(size: int, r: int) -> "np.ndarray":
     stage.sort(key=lambda a: a.shape[0])
     cur = stage[0]
     for nxt in stage[1:]:
-        other = _expand_rows(nxt, whole)
-        pieces = []
-        step = max(1, 4_000_000 // max(1, other.shape[0]))
-        for lo in range(0, cur.shape[0], step):
-            part = (cur[lo : lo + step, None, :] + other[None, :, :]).reshape(-1, size)
-            pieces.append(_pareto_np(_block_canon(part, whole)))
-        cur = pieces[0] if len(pieces) == 1 else _pareto_np(np.concatenate(pieces))
+        cur = _sum_rows(cur, _expand_rows(nxt, whole), whole)
     return cur
 
 
@@ -544,12 +573,7 @@ def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
         else:
             rows = [_embed_rows(_cut_template_rows(len(s), r), img, n) for img in images]
             fac = rows[0] if len(rows) == 1 else np.concatenate(rows)
-        pieces = []
-        step = max(1, 4_000_000 // max(1, fac.shape[0]))
-        for lo in range(0, base.shape[0], step):
-            part = (base[lo : lo + step, None, :] + fac[None, :, :]).reshape(-1, n)
-            pieces.append(_pareto_np(_block_canon(part, new_blocks)))
-        cur = pieces[0] if len(pieces) == 1 else _pareto_np(np.concatenate(pieces))
+        cur = _sum_rows(base, fac, new_blocks)
         old_blocks = new_blocks
     out = MonomialIdeal(n, _expand_rows(cur, old_blocks))
     if len(out.rows) <= _RICHNESS_CACHE_LIMIT:

@@ -2,6 +2,7 @@
 
 from itertools import permutations
 
+from richfan import catalog
 from richfan.catalog import small_connected_graphs
 
 
@@ -67,3 +68,16 @@ def test_known_members_present():
     assert has(three, 3, (2, 2, 2))  # triangle
     assert has(three, 2, (3, 3))  # 3 parallel edges
     assert has(three, 4, (1, 1, 1, 3))  # star
+
+
+def test_census_cache_is_bounded():
+    limit = catalog._CENSUS_CACHE_ENTRIES
+    catalog._census.cache_clear()
+    for k in range(limit + 1):
+        small_connected_graphs(k)
+    info = catalog._census.cache_info()
+    assert info.maxsize == limit
+    assert info.currsize == limit
+    # the 0-edge census was the least recently used, so it went first
+    assert len(small_connected_graphs(0)) == 1
+    assert catalog._census.cache_info().misses == info.misses + 1

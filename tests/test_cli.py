@@ -1,11 +1,16 @@
 """Command line driver: exit codes, canonical output, atomic writes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import richfan
 from richfan.cli import main
+from richfan.graphs import MAX_CUT_VERTICES
 
 
 TRIANGLE = {
@@ -128,6 +133,20 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == '{"error":"ValueError","message":"8113 walls exceed the limit of 4096 for r=720"}\n'
+
+    def test_cut_vertex_limit_fails_fast(self, tmp_path, capsys):
+        n = MAX_CUT_VERTICES + 1
+        path = {
+            "vertices": list(range(n)),
+            "edges": [{"id": i, "ends": [i, i + 1]} for i in range(n - 1)],
+        }
+        p = write(tmp_path, "path.json", path)
+        t0 = time.process_time()
+        assert main(["cuts", p]) == 2
+        assert time.process_time() - t0 < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == '{"error":"ValueError","message":"too many vertices for cut enumeration"}\n'
 
     def test_unknown_verb(self):
         assert main(["frobnicate", "x.json"]) == 2
@@ -312,3 +331,76 @@ class TestOutputDiscipline:
         main(["contract", "--contract", "", triangle_path, "--out", out])
         assert main(["cuts", out]) == 0
         assert json.loads(capsys.readouterr().out)["cuts"] == [[0, 1], [0, 2], [1, 2]]
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(richfan.__file__)))
+NUMPY_PROBE = """
+import json, sys
+if sys.argv[3:] == ["numpy-first"]:
+    import numpy
+from richfan.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+with open(sys.argv[2], "w") as fh:
+    json.dump({"codes": codes, "numpy": loaded}, fh)
+"""
+
+
+def run_fresh(argvs, report, numpy_first=False):
+    """Run main on each argv in one new interpreter (which imports numpy
+    before richfan when numpy_first is set); its exit codes, the numpy
+    submodules it loaded, and its stdout bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs), report]
+        + (["numpy-first"] if numpy_first else []),
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(report) as fh:
+        rep = json.load(fh)
+    return rep["codes"], rep["numpy"], proc.stdout
+
+
+class TestImportBoundary:
+    """Only building an ideal loads numpy."""
+
+    def test_graph_fan_and_curve_verbs_load_no_numpy(
+        self, triangle_path, nested_path, tmp_path
+    ):
+        fan_path = str(tmp_path / "fan.json")
+        argvs = [
+            ["cuts", triangle_path],
+            ["subdivide", "--r", "2", triangle_path, "--out", fan_path],
+            ["verify-fan", fan_path],
+            ["check-rich", "--r", "1", nested_path],
+        ]
+        codes, numpy_modules, _ = run_fresh(argvs, str(tmp_path / "report.json"))
+        assert codes == [0, 0, 0, 3]
+        assert numpy_modules == []
+
+    def test_ideal_loads_numpy_with_the_same_output(self, triangle_path, tmp_path, capsys):
+        argv = ["ideal", "--r", "2", triangle_path]
+        report = str(tmp_path / "report.json")
+        codes, numpy_modules, out = run_fresh([argv], report)
+        assert codes == [0]
+        assert numpy_modules
+        eager_codes, _, eager_out = run_fresh([argv], report, numpy_first=True)
+        assert (eager_codes, eager_out) == (codes, out)
+        assert main(argv) == 0
+        assert out == capsys.readouterr().out.encode()
+
+    def test_missing_numpy_fails_at_import(self):
+        # -S leaves site-packages, and with it numpy, off the path
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "try:\n    import richfan.cli\n"
+            "except ModuleNotFoundError as e:\n    print(e.name)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe, SRC], capture_output=True, text=True, timeout=60
+        )
+        assert proc.stdout == "numpy\n", proc.stderr

@@ -1,5 +1,6 @@
 """Graph layer: cuts are bonds, blocks are circuit classes, contraction."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from richfan import Graph
 from richfan.errors import DisconnectedGraph, SchemaError, UnknownEdge
+from richfan.graphs import MAX_CUT_VERTICES
 
 
 def bond_oracle(g: Graph) -> set[tuple[int, ...]]:
@@ -100,9 +102,39 @@ def _is_even_connected(g: Graph, sub: tuple[int, ...]) -> bool:
     return touched <= seen
 
 
+def bipartition_cuts(g: Graph) -> list[tuple[int, ...]]:
+    """Cuts by trying all 2^(n-1) bipartitions with the first vertex on one
+    side, keeping those whose two sides are connected."""
+    g.require_connected()
+    vs = list(g.vertices)
+    adj = g.adjacency()
+
+    def connected(side: set[int]) -> bool:
+        start = next(iter(side))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for e in adj[v]:
+                w = e.other(v)
+                if w in side and w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return len(seen) == len(side)
+
+    out = set()
+    for mask in range(2 ** (len(vs) - 1) - 1):
+        side = {vs[0]} | {v for i, v in enumerate(vs[1:]) if mask >> i & 1}
+        other = set(vs) - side
+        if connected(side) and connected(other):
+            cross = [e.id for e in g.edges if not e.is_loop and (e.u in side) != (e.v in side)]
+            out.add(tuple(sorted(cross)))
+    return sorted(out)
+
+
 @st.composite
-def connected_multigraphs(draw, max_extra=3):
-    nv = draw(st.integers(1, 5))
+def connected_multigraphs(draw, max_vertices=5, max_extra=3, relabel=False):
+    nv = draw(st.integers(1, max_vertices))
     edges = []
     eid = 0
     for v in range(1, nv):
@@ -115,7 +147,30 @@ def connected_multigraphs(draw, max_extra=3):
         v = draw(st.integers(0, nv - 1))
         edges.append((eid, u, v))
         eid += 1
-    return Graph.build(list(range(nv)), edges)
+    names = list(range(nv))
+    if relabel:
+        names = draw(st.lists(st.integers(-50, 50), min_size=nv, max_size=nv, unique=True))
+        ids = draw(st.permutations(range(100, 100 + len(edges))))
+        edges = [(i, u, v) for i, (_, u, v) in zip(ids, edges)]
+    return Graph.build(names, [(i, names[u], names[v]) for i, u, v in edges])
+
+
+def sparse_multigraph(rng: random.Random, nv: int, extra: int) -> Graph:
+    """A random spanning tree on nv vertices plus extra random edges (loops
+    and parallel edges included), with shuffled vertex names and edge ids."""
+    names = rng.sample(range(1000), nv)
+    pairs = [(rng.randrange(v), v) for v in range(1, nv)]
+    pairs += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(extra)]
+    ids = rng.sample(range(1000), len(pairs))
+    return Graph.build(names, [(i, names[u], names[v]) for i, (u, v) in zip(ids, pairs)])
+
+
+def path(n: int) -> Graph:
+    return Graph.build(range(n), [(i, i, i + 1) for i in range(n - 1)])
+
+
+def cycle(n: int) -> Graph:
+    return Graph.build(range(n), [(i, i, (i + 1) % n) for i in range(n)])
 
 
 class TestCuts:
@@ -140,6 +195,27 @@ class TestCuts:
     @settings(max_examples=120, deadline=None)
     def test_matches_bond_oracle(self, g):
         assert set(g.cuts()) == bond_oracle(g)
+
+    @given(connected_multigraphs(max_vertices=10, max_extra=10, relabel=True))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bipartition_enumeration(self, g):
+        assert g.cuts() == bipartition_cuts(g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_bipartition_enumeration_sparse(self, seed):
+        rng = random.Random(seed)
+        g = sparse_multigraph(rng, rng.randint(12, 14), rng.randint(2, 6))
+        assert g.cuts() == bipartition_cuts(g)
+
+    def test_cycle_at_the_vertex_limit(self):
+        # every pair of edges of a cycle is a bond
+        g = cycle(MAX_CUT_VERTICES)
+        assert g.cuts() == list(combinations(range(MAX_CUT_VERTICES), 2))
+        assert len(g.cuts()) == 231
+
+    def test_path_at_the_vertex_limit(self):
+        # every edge of a tree is a bond
+        assert path(MAX_CUT_VERTICES).cuts() == [(i,) for i in range(MAX_CUT_VERTICES - 1)]
 
     @given(connected_multigraphs())
     @settings(max_examples=60, deadline=None)

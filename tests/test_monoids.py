@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from richfan import INF, SharpMonoid, divisors
+from richfan import monoids
 from richfan.monoids import check_r
 from richfan.errors import AllZero, EmptySet, NotRClose
 
@@ -17,6 +18,19 @@ N2 = SharpMonoid.orthant(2)
 def test_divisors_oracle():
     for r in range(1, 40):
         assert divisors(r) == tuple(d for d in range(1, r + 1) if r % d == 0)
+
+
+def test_divisors_cache_is_bounded():
+    limit = monoids._DIVISORS_CACHE_ENTRIES
+    divisors.cache_clear()
+    for r in range(1, limit + 2):
+        divisors(r)
+    info = divisors.cache_info()
+    assert info.maxsize == limit
+    assert info.currsize == limit
+    # r = 1 was the least recently used, so it went first
+    assert divisors(1) == (1,)
+    assert divisors.cache_info().misses == info.misses + 1
 
 
 def test_check_r_accepts():

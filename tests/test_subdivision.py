@@ -235,6 +235,31 @@ class TestMonomialIdeal:
         sums = [tuple(x + y for x, y in zip(p, q)) for p in a for q in b]
         assert got == brute_minimal(sums)
 
+    def test_product_in_chunks_matches_brute_force(self, monkeypatch):
+        # a 5-row chunk bound splits every product below into many chunks
+        monkeypatch.setattr(subdivision, "_CHUNK_ROWS", 5)
+        screens = []
+        pareto = subdivision._pareto_np
+        monkeypatch.setattr(
+            subdivision, "_pareto_np", lambda a: screens.append(len(a)) or pareto(a)
+        )
+        rng = random.Random(8)
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            a = [tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(rng.randint(1, 12))]
+            b = [tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(rng.randint(1, 12))]
+            ia = MonomialIdeal.from_generators(k, a)
+            ib = MonomialIdeal.from_generators(k, b)
+            screens.clear()
+            got = ideal_product(ia, ib)
+            sums = [tuple(x + y for x, y in zip(p, q)) for p in a for q in b]
+            assert got.generators == tuple(sorted(brute_minimal(sums)))
+            # every chunk is screened on its own, then the survivors once
+            step = max(1, 5 // len(ib.rows))
+            chunks = -(-len(ia.rows) // step)
+            assert len(screens) == (chunks + 1 if chunks > 1 else 1)
+            assert all(n <= step * len(ib.rows) for n in screens[:chunks])
+
     def test_product_example(self):
         xy = MonomialIdeal.from_generators(3, [(1, 0, 0), (0, 1, 0)])
         xz = MonomialIdeal.from_generators(3, [(1, 0, 0), (0, 0, 1)])
@@ -463,6 +488,15 @@ class TestRichnessIdeal:
             fast = set(richness_ideal(g, r).generators)
             slow = set(generic_richness(g, r).generators)
             assert fast == slow, (g.to_obj(), r)
+
+    def test_small_chunks_give_the_same_ideals(self, theta, monkeypatch):
+        graphs = [(cycle(4), 2), (theta, 3), (cycle(3), 2)]
+        expect = [richness_ideal(g, r) for g, r in graphs]
+        reps = subdivision._cut_template_reps(3, 2)
+        monkeypatch.setattr(subdivision, "_CHUNK_ROWS", 50)
+        monkeypatch.setattr(subdivision, "_richness_cache", {})
+        assert [richness_ideal(g, r) for g, r in graphs] == expect
+        assert np.array_equal(subdivision._cut_template_reps.__wrapped__(3, 2), reps)
 
     def test_symmetric_route_matches_generic_census(self):
         # every graph with at most 3 edges, one-edge graphs included
