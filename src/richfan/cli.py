@@ -15,7 +15,7 @@ import tempfile
 from typing import Callable
 
 from .cones import Fan
-from .curves import RealFamily, TropicalCurve, family_is_weakly_r_rich
+from .curves import RealFamily, TropicalCurve
 from .drawing import cross_section, render_svg
 from .errors import DomainError, SchemaError
 from .graphs import Graph
@@ -54,7 +54,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load(path: str):
     with open(path, "r") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SchemaError("input document is nested too deeply") from None
 
 
 def _parse_r(text: str):

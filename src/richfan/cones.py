@@ -27,6 +27,8 @@ from .intlinalg import (
     vsub,
 )
 
+MAX_HILBERT_BOX = 4_000_000  # lattice points hilbert_basis may enumerate
+
 
 def unit(rank: int, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in range(rank))
@@ -344,7 +346,7 @@ def _pivot_product(echelon: Sequence[Vec]) -> int:
     return math.prod(next(x for x in row if x) for row in echelon)
 
 
-def hilbert_basis(cone: Cone, cap: int = 4_000_000) -> list[Vec]:
+def hilbert_basis(cone: Cone) -> list[Vec]:
     """Minimal generating set of cone cap Z^n (pointed cones only).
 
     A unimodular cone's monoid is free on its rays, which are then the basis.
@@ -364,7 +366,7 @@ def hilbert_basis(cone: Cone, cap: int = 4_000_000) -> list[Vec]:
     vol = 1
     for a, b in zip(lo, hi):
         vol *= b - a + 1
-        if vol > cap:
+        if vol > MAX_HILBERT_BOX:
             raise ValueError("hilbert basis enumeration region too large")
     pts = []
     zero = tuple(0 for _ in range(n))

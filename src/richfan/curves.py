@@ -6,7 +6,6 @@ the basic (minimal) model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone
@@ -21,7 +20,7 @@ from .errors import (
 )
 from .graphs import Graph
 from .intlinalg import Vec, dot, hnf_rows, integer_kernel, is_zero, vsub
-from .monoids import SharpMonoid, check_r, divisors
+from .monoids import SharpMonoid, check_r, tuple_minima_exist
 
 
 @dataclass(frozen=True)
@@ -342,11 +341,7 @@ class RealFamily:
     def image_cone(self) -> Cone:
         """Image of the parameter cone in the orthant of edge lengths,
         coordinates in sorted edge id order."""
-        rows = [v for _, v in self.length_map]
-        n = len(rows)
-        gens = [tuple(dot(row, rr) for row in rows) for rr in self.cone.rays]
-        lns = [tuple(dot(row, l) for row in rows) for l in self.cone.lines]
-        return Cone.from_rays(n, gens, lns)
+        return self.cone.image([v for _, v in self.length_map])
 
     def to_obj(self) -> dict:
         obj = self.graph.to_obj()
@@ -399,20 +394,14 @@ def family_is_weakly_r_rich(fam: RealFamily, r: int) -> bool:
     """For every cut and divisor tuple, some edge is universally smallest.
 
     Universal pointwise minimality on the cone is exactly dual-cone
-    membership of the rescaled row differences.
+    membership of the rescaled row differences (tuple_minima_exist).
     """
     check_r(r, allow_inf=False)
-    dual = fam.cone.dual()
-    for cut in fam.graph.cuts():
-        rows = [fam.row(e) for e in cut]
-        divs = divisors(r)
-        for lam in product(divs, repeat=len(rows)):
-            scaled = [tuple(l * t for t in row) for l, row in zip(lam, rows)]
-            if not any(
-                all(dual.contains(vsub(y, x)) for y in scaled) for x in scaled
-            ):
-                return False
-    return True
+    contains = fam.cone.dual().contains
+    return all(
+        tuple_minima_exist(contains, [fam.row(e) for e in cut], r)
+        for cut in fam.graph.cuts()
+    )
 
 
 @dataclass(frozen=True)

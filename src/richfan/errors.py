@@ -63,10 +63,6 @@ class ShapeMismatch(DomainError):
     pass
 
 
-class MalformedFan(DomainError):
-    pass
-
-
 class UnknownCoordinate(DomainError):
     pass
 

@@ -7,7 +7,7 @@ edge ends are stored sorted so an edge is (id, u, v) with u <= v.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DisconnectedGraph, SchemaError, UnknownEdge, is_int, is_int_vector
 
@@ -199,10 +199,6 @@ class Graph:
                                 break
                         out.append(tuple(sorted(blk)))
         return sorted(out)
-
-    def is_tree_with_loops(self) -> bool:
-        """Every circuit block a single edge: a tree with loops added."""
-        return all(len(b) == 1 for b in self.blocks())
 
     def contract(self, edge_ids: Iterable[int]) -> "Graph":
         """Contract the listed edges (loops just disappear)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import cones
 from .errors import AllZero, EmptySet, NotAMember, NotRClose, SchemaError, is_int, is_int_vector
@@ -37,6 +37,24 @@ def check_r(r, allow_inf: bool = True) -> None:
 @lru_cache(maxsize=_DIVISORS_CACHE_ENTRIES)
 def divisors(r: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, r + 1) if r % d == 0)
+
+
+def tuple_minima_exist(contains: Callable[[Vec], bool], vecs: Sequence[Vec], r: int) -> bool:
+    """For every divisor tuple (lambda_i) of r, is some lambda_i v_i smallest,
+    contains(lambda_j v_j - lambda_i v_i) holding for every j?
+
+    Quantified literally over tuples; a pairwise test would be wrong (a set
+    can have tuple minima while pairs stay incomparable).  More than
+    MAX_DIVISOR_TUPLES tuples raise ValueError before the first one.
+    """
+    divs = divisors(r)
+    if len(divs) ** len(vecs) > MAX_DIVISOR_TUPLES:
+        raise ValueError("too many divisor tuples to enumerate")
+    for lam in product(divs, repeat=len(vecs)):
+        scaled = [tuple(l * t for t in v) for l, v in zip(lam, vecs)]
+        if not any(all(contains(vsub(y, x)) for y in scaled) for x in scaled):
+            return False
+    return True
 
 
 class SharpMonoid:
@@ -77,21 +95,6 @@ class SharpMonoid:
         if not self.contains(v):
             raise NotAMember(f"{v} is not in the monoid")
         return v
-
-    def divides(self, a: Sequence[int], b: Sequence[int]) -> bool:
-        a = self.require_member(a)
-        b = self.require_member(b)
-        return self.cone.contains(vsub(b, a))
-
-    def smallest_element(self, s: Iterable[Sequence[int]]) -> Vec | None:
-        """The unique member of s dividing all of s, or None."""
-        elems = [self.require_member(x) for x in s]
-        if not elems:
-            raise EmptySet("smallest element of an empty set")
-        for x in elems:
-            if all(self.cone.contains(vsub(y, x)) for y in elems):
-                return x
-        return None
 
     def _ray_data(self, elems: list[Vec]) -> tuple[Vec, list[int]] | None:
         """Common primitive direction p and multiples m_i, for nonzero elems."""
@@ -148,10 +151,9 @@ class SharpMonoid:
         return tuple(g * t for t in p), [m // g for m in ms]
 
     def is_weakly_r_close(self, s: Iterable[Sequence[int]], r: int) -> bool:
-        """For every divisor tuple (lambda_i), {lambda_i a_i} has a smallest.
+        """For every divisor tuple (lambda_i), {lambda_i a_i} has a smallest
+        (tuple_minima_exist in the monoid's cone).
 
-        Quantified literally over tuples; a pairwise test would be wrong
-        (a set can have tuple minima while pairs stay incomparable).
         Duplicate elements are collapsed first, which is harmless: scaled
         copies of one element are always comparable.
         """
@@ -159,18 +161,7 @@ class SharpMonoid:
         elems = [self.require_member(x) for x in s]
         if not elems:
             raise EmptySet("closeness of an empty set")
-        uniq = sorted(set(elems))
-        divs = divisors(r)
-        if len(divs) ** len(uniq) > MAX_DIVISOR_TUPLES:
-            raise ValueError("too many divisor tuples to enumerate")
-        contains = self.cone.contains
-        for lam in product(divs, repeat=len(uniq)):
-            scaled = [tuple(l * t for t in a) for l, a in zip(lam, uniq)]
-            if not any(
-                all(contains(vsub(y, x)) for y in scaled) for x in scaled
-            ):
-                return False
-        return True
+        return tuple_minima_exist(self.cone.contains, sorted(set(elems)), r)
 
     def hilbert_basis(self) -> list[Vec]:
         return cones.hilbert_basis(self.cone)

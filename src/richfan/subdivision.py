@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .cones import Cone, Fan, double_description, is_unimodular, unit
 from .curves import RealFamily
@@ -56,7 +56,8 @@ _NP_THRESHOLD = 512
 _VALUE_LIMIT = 1 << 62
 _BITSET_VMAX = 4096
 _BITSET_CELLS = 200_000_000
-_CHUNK_ROWS = 4_000_000  # rows (or row pairs) one broadcast step builds
+_CHUNK_CELLS = 16_000_000  # array cells one broadcast step builds
+MAX_PRODUCT_SUMS = 20_000_000  # sums one ideal product may build, all chunks
 _RICHNESS_CACHE_LIMIT = 20_000  # generators per cached ideal
 _RICHNESS_CACHE_ENTRIES = 1024  # cached ideals; the oldest is evicted first
 _TEMPLATE_CACHE_ENTRIES = 64  # (cut size, r) pairs per template cache
@@ -200,7 +201,7 @@ def _bitset_kill(
     rows, the ones folded into the bit tables (nbits is a multiple of 8)."""
     idx = np.flatnonzero(alive)
     width = nbits >> 3
-    chunk = max(256, _CHUNK_ROWS // width)
+    chunk = max(256, _CHUNK_CELLS // (k * width))
     for c0 in range(0, idx.size, chunk):
         ii = idx[c0 : c0 + chunk]
         sub = block[ii]
@@ -219,7 +220,7 @@ def _direct_kill(
     idx = np.flatnonzero(alive)
     if not idx.size or not pc.shape[0]:
         return
-    chunk = max(256, _CHUNK_ROWS // max(1, pc.shape[0]))
+    chunk = max(256, _CHUNK_CELLS // max(1, pc.shape[0] * pc.shape[1]))
     for c0 in range(0, idx.size, chunk):
         ii = idx[c0 : c0 + chunk]
         dom = (pc[None, :, :] <= block[ii][:, None, :]).all(2).any(1)
@@ -357,11 +358,18 @@ def _block_canon(arr: "np.ndarray", blocks: Blocks) -> "np.ndarray":
 def _sum_rows(a: "np.ndarray", b: "np.ndarray", blocks: Blocks) -> "np.ndarray":
     """Minimal block-canonical rows of {x + y : x in a, y in b}, lex-sorted.
 
-    The sums are built for one chunk of a at a time, about _CHUNK_ROWS rows
-    (at least one row of a) per chunk.  Each chunk is screened, then the
-    survivors of all chunks are screened once more.
+    The sums are built for one chunk of a at a time, about _CHUNK_CELLS
+    cells (at least one row of a) per chunk.  Each chunk is screened, then
+    the survivors of all chunks are screened once more.  More than
+    MAX_PRODUCT_SUMS sums raise ValueError before any is built.
     """
-    step = max(1, _CHUNK_ROWS // max(1, len(b)))
+    sums = len(a) * len(b)
+    if sums > MAX_PRODUCT_SUMS:
+        raise ValueError(
+            f"product of {len(a)} by {len(b)} generators needs {sums} sums,"
+            f" above the limit of {MAX_PRODUCT_SUMS}"
+        )
+    step = max(1, _CHUNK_CELLS // max(1, len(b) * a.shape[1]))
     pieces = []
     for lo in range(0, len(a), step):
         part = a[lo : lo + step, None, :] + b[None, :, :]
@@ -613,47 +621,17 @@ def newton_subdivision(i: MonomialIdeal) -> Fan:
 
 @dataclass(frozen=True)
 class ChoiceFunction:
-    """One chosen edge per cut; optional per-cut divisor-tuple argmin data.
+    """One chosen edge per cut.
 
     choices maps each cut (sorted edge-id tuple) to an edge of that cut.
-    tuple_choices, when present, maps each cut to a map from divisor tuples
-    (aligned with the cut's sorted edges) to the edge realizing the minimum.
     """
 
     choices: tuple[tuple[tuple[int, ...], int], ...]
-    tuple_choices: tuple[tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]], ...] | None = None
 
     @staticmethod
-    def build(
-        g: Graph,
-        mapping: Mapping[tuple[int, ...], int],
-        tuple_mapping: Mapping[tuple[int, ...], Mapping[tuple[int, ...], int]] | None = None,
-        r: int | None = None,
-    ) -> "ChoiceFunction":
-        cuts = g.cuts()
-        if set(mapping.keys()) != set(cuts):
-            raise InvalidChoice("choice function must be defined on exactly the cuts")
-        for c, e in mapping.items():
-            if e not in c:
-                raise InvalidChoice(f"chosen edge {e} is not in cut {c}")
-        tc = None
-        if tuple_mapping is not None:
-            if r is None:
-                raise InvalidChoice("tuple choices need the r they were built for")
-            rows = []
-            for c in cuts:
-                sub = tuple_mapping.get(c)
-                if sub is None:
-                    raise InvalidChoice(f"missing tuple choices for cut {c}")
-                expect = set(product(divisors(r), repeat=len(c)))
-                if set(sub.keys()) != expect:
-                    raise InvalidChoice(f"tuple choices for cut {c} must cover all divisor tuples")
-                for lam, e in sub.items():
-                    if e not in c:
-                        raise InvalidChoice(f"argmin edge {e} is not in cut {c}")
-                rows.append((c, tuple(sorted(sub.items()))))
-            tc = tuple(sorted(rows))
-        return ChoiceFunction(tuple(sorted(mapping.items())), tc)
+    def build(g: Graph, mapping: Mapping[tuple[int, ...], int]) -> "ChoiceFunction":
+        _choice_pairs(g, mapping.items())
+        return ChoiceFunction(tuple(sorted(mapping.items())))
 
     def get(self, cut: tuple[int, ...]) -> int:
         for c, e in self.choices:
@@ -669,43 +647,40 @@ def all_choice_functions(g: Graph):
         yield ChoiceFunction(tuple(zip(cuts, picks)))
 
 
-def choice_cone(g: Graph, f: ChoiceFunction, r: int = 1) -> Cone:
-    """{x >= 0 : the chosen edge is weighted-smallest in every cut}.
+def _choice_pairs(
+    g: Graph, choices: Collection[tuple[tuple[int, ...], int]]
+) -> tuple[int, list[tuple[int, int]]]:
+    """The edge count n and the coordinate pairs (pos[f(c)], pos[e]), one for
+    every cut c and edge e != f(c) of c, after checking that the (cut, edge)
+    choices are defined on exactly the cuts of g and pick an edge of each."""
+    if set(c for c, _ in choices) != set(g.cuts()):
+        raise InvalidChoice("choice function must be defined on exactly the cuts")
+    pos = {e: j for j, e in enumerate(g.sorted_edge_ids())}
+    pairs = []
+    for c, chosen in choices:
+        if chosen not in c:
+            raise InvalidChoice(f"chosen edge {chosen} is not in cut {c}")
+        pairs.extend((pos[chosen], pos[e]) for e in c if e != chosen)
+    return len(pos), pairs
 
-    For r = 1 the inequalities are x_f(c) <= x_e.  For r > 1 every recorded
-    divisor tuple contributes lambda_argmin x_argmin <= lambda_e x_e.
-    """
-    check_r(r, allow_inf=False)
-    coords = g.sorted_edge_ids()
-    pos = {e: j for j, e in enumerate(coords)}
-    n = len(coords)
-    ineqs = [unit(n, j) for j in range(n)]
-    if r == 1:
-        for c, chosen in f.choices:
-            for e in c:
-                if e != chosen:
-                    v = [0] * n
-                    v[pos[e]] += 1
-                    v[pos[chosen]] -= 1
-                    ineqs.append(tuple(v))
-    else:
-        if f.tuple_choices is None:
-            raise InvalidChoice("r > 1 choice cones need divisor-tuple argmin data")
-        for c, rows in f.tuple_choices:
-            for lam, h in rows:
-                hj = c.index(h)
-                for j, e in enumerate(c):
-                    if e == h:
-                        continue
-                    v = [0] * n
-                    v[pos[e]] += lam[j]
-                    v[pos[h]] -= lam[hj]
-                    ineqs.append(tuple(v))
+
+def _difference(n: int, h: int, e: int) -> Vec:
+    """x_e - x_h in Z^n, for coordinates h != e."""
+    v = [0] * n
+    v[e], v[h] = 1, -1
+    return tuple(v)
+
+
+def choice_cone(g: Graph, f: ChoiceFunction) -> Cone:
+    """{x >= 0 : x_f(c) <= x_e for every cut c and edge e of c}, the r = 1
+    cone where the chosen edge is smallest in every cut."""
+    n, pairs = _choice_pairs(g, f.choices)
+    ineqs = [unit(n, j) for j in range(n)] + [_difference(n, h, e) for h, e in pairs]
     return Cone.from_inequalities(n, ineqs)
 
 
 def _closure_of_choice(n_edges: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...] | None:
-    """Transitive closure as row bitmmasks; None when antisymmetry fails."""
+    """Transitive closure as row bitmasks; None when antisymmetry fails."""
     rows = [1 << i for i in range(n_edges)]
     for a, b in pairs:
         rows[a] |= 1 << b
@@ -880,12 +855,6 @@ class CutOrder:
     minima: tuple[int, ...]
     pred: tuple[tuple[int, int], ...]
 
-    def to_obj(self) -> dict:
-        return {
-            "minima": list(self.minima),
-            "pred": {str(e): p for e, p in self.pred},
-        }
-
 
 def cut_order_from_choice(g: Graph, f: ChoiceFunction) -> CutOrder:
     """E0 and the predecessor map of the order generated by a choice function.
@@ -894,23 +863,12 @@ def cut_order_from_choice(g: Graph, f: ChoiceFunction) -> CutOrder:
     its transitive closure is antisymmetric; a cyclic closure means the
     choice forces strictly more comparisons than necessary.
     """
-    g.require_connected()
-    cuts = g.cuts()
-    if set(c for c, _ in f.choices) != set(cuts):
-        raise InvalidChoice("choice function must be defined on exactly the cuts")
-    coords = g.sorted_edge_ids()
-    pos = {e: j for j, e in enumerate(coords)}
-    n = len(coords)
-    pairs = []
-    for c, chosen in f.choices:
-        if chosen not in c:
-            raise InvalidChoice(f"chosen edge {chosen} is not in cut {c}")
-        for e in c:
-            if e != chosen:
-                pairs.append((pos[chosen], pos[e]))
+    n, pairs = _choice_pairs(g, f.choices)
     closure = _closure_of_choice(n, pairs)
     if closure is None:
         raise NotMinimalOrder("choice generates a cyclic (non-minimal) preorder")
+    coords = g.sorted_edge_ids()
+    pos = {e: j for j, e in enumerate(coords)}
     minima = []
     pred: list[tuple[int, int]] = []
     for comp in g.blocks():
@@ -933,20 +891,12 @@ def cut_order_from_choice(g: Graph, f: ChoiceFunction) -> CutOrder:
 
 
 def choice_monoid(g: Graph, f: ChoiceFunction) -> SharpMonoid:
-    """Monoid generated by N^E and the differences e - f(c) inside Z^E."""
-    order = cut_order_from_choice(g, f)  # validates minimality
-    coords = g.sorted_edge_ids()
-    pos = {e: j for j, e in enumerate(coords)}
-    n = len(coords)
-    gens = [unit(n, j) for j in range(n)]
-    for c, chosen in f.choices:
-        for e in c:
-            if e != chosen:
-                v = [0] * n
-                v[pos[e]] += 1
-                v[pos[chosen]] -= 1
-                gens.append(tuple(v))
-    del order
+    """Monoid generated by N^E and the differences e - f(c) inside Z^E, for a
+    minimal choice (NotMinimalOrder otherwise, as in cut_order_from_choice)."""
+    n, pairs = _choice_pairs(g, f.choices)
+    if _closure_of_choice(n, pairs) is None:
+        raise NotMinimalOrder("choice generates a cyclic (non-minimal) preorder")
+    gens = [unit(n, j) for j in range(n)] + [_difference(n, h, e) for h, e in pairs]
     return SharpMonoid.from_rays(n, gens)
 
 

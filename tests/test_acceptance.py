@@ -308,7 +308,7 @@ def test_criterion_09_choice_monoid_freeness(verdict):
                 set(m.hilbert_basis()) == expect
                 and m.is_free()
                 and m.rank == n
-                and set(m.cone.rays) == set(choice_cone(g, f, 1).dual().rays)
+                and set(m.cone.rays) == set(choice_cone(g, f).dual().rays)
             )
             if not ok:
                 bad += 1

@@ -148,6 +148,34 @@ class TestExitCodes:
         assert out == ""
         assert err == '{"error":"ValueError","message":"too many vertices for cut enumeration"}\n'
 
+    def test_product_limit_fails_fast(self, tmp_path, capsys):
+        # K4 at r=2: the third cut multiplies 63,371 generators by the
+        # 1,240-row template of a 3-edge cut, 78,580,040 sums
+        k4 = {
+            "vertices": [0, 1, 2, 3],
+            "edges": [{"id": i, "ends": list(uv)} for i, uv in
+                      enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])],
+        }
+        p = write(tmp_path, "k4.json", k4)
+        t0 = time.process_time()
+        assert main(["ideal", "--r", "2", p]) == 2
+        assert time.process_time() - t0 < 10
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            '{"error":"ValueError","message":"product of 63371 by 1240 generators'
+            ' needs 78580040 sums, above the limit of 20000000"}\n'
+        )
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # json.load raises RecursionError on this; it is malformed input
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200_000)
+        assert main(["cuts", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == '{"error":"SchemaError","message":"input document is nested too deeply"}\n'
+
     def test_unknown_verb(self):
         assert main(["frobnicate", "x.json"]) == 2
 

@@ -175,6 +175,15 @@ class TestRealFamily:
                     c.to_real_family(), r
                 )
 
+    def test_divisor_tuple_limit_fails_fast(self, theta):
+        # 240 divisors of 720720 on the 3-edge cut: 240^3 tuples, above the
+        # cap, refused by the family and the curve test alike
+        c = curve(theta, 1, {0: (1,), 1: (2,), 2: (3,)})
+        with pytest.raises(ValueError, match="too many divisor tuples"):
+            family_is_weakly_r_rich(c.to_real_family(), 720720)
+        with pytest.raises(ValueError, match="too many divisor tuples"):
+            c.is_weakly_r_rich(720720)
+
     def test_round_trip(self, nested_curve):
         from richfan.curves import RealFamily
 

@@ -31,6 +31,7 @@ from richfan.catalog import small_connected_graphs
 from richfan.cones import unit
 from richfan.errors import (
     DimensionMismatch,
+    DisconnectedGraph,
     InvalidChoice,
     NotMinimalOrder,
     SchemaError,
@@ -236,8 +237,8 @@ class TestMonomialIdeal:
         assert got == brute_minimal(sums)
 
     def test_product_in_chunks_matches_brute_force(self, monkeypatch):
-        # a 5-row chunk bound splits every product below into many chunks
-        monkeypatch.setattr(subdivision, "_CHUNK_ROWS", 5)
+        # a 20-cell chunk bound splits every product below into many chunks
+        monkeypatch.setattr(subdivision, "_CHUNK_CELLS", 20)
         screens = []
         pareto = subdivision._pareto_np
         monkeypatch.setattr(
@@ -255,10 +256,30 @@ class TestMonomialIdeal:
             sums = [tuple(x + y for x, y in zip(p, q)) for p in a for q in b]
             assert got.generators == tuple(sorted(brute_minimal(sums)))
             # every chunk is screened on its own, then the survivors once
-            step = max(1, 5 // len(ib.rows))
+            step = max(1, 20 // (len(ib.rows) * k))
             chunks = -(-len(ia.rows) // step)
             assert len(screens) == (chunks + 1 if chunks > 1 else 1)
             assert all(n <= step * len(ib.rows) for n in screens[:chunks])
+
+    def test_chunks_are_bounded_in_cells(self, monkeypatch):
+        # the same 16 x 2 product builds twice as many chunks at rank 8 as at
+        # rank 4: a chunk holds _CHUNK_CELLS cells, not a fixed row count
+        monkeypatch.setattr(subdivision, "_CHUNK_CELLS", 64)
+        screens = []
+        pareto = subdivision._pareto_np
+        monkeypatch.setattr(
+            subdivision, "_pareto_np", lambda a: screens.append(len(a)) or pareto(a)
+        )
+        chunks = {}
+        for k in (4, 8):
+            ia = MonomialIdeal.from_generators(k, [(i, 15 - i) + (0,) * (k - 2) for i in range(16)])
+            ib = MonomialIdeal.from_generators(k, [unit(k, 0), unit(k, 1)])
+            screens.clear()
+            got = ideal_product(ia, ib)
+            sums = [tuple(x + y for x, y in zip(p, q)) for p in ia.generators for q in ib.generators]
+            assert got.generators == tuple(sorted(brute_minimal(sums)))
+            chunks[k] = len(screens) - 1  # one screen per chunk, then the survivors
+        assert chunks == {4: 2, 8: 4}
 
     def test_product_example(self):
         xy = MonomialIdeal.from_generators(3, [(1, 0, 0), (0, 1, 0)])
@@ -493,7 +514,7 @@ class TestRichnessIdeal:
         graphs = [(cycle(4), 2), (theta, 3), (cycle(3), 2)]
         expect = [richness_ideal(g, r) for g, r in graphs]
         reps = subdivision._cut_template_reps(3, 2)
-        monkeypatch.setattr(subdivision, "_CHUNK_ROWS", 50)
+        monkeypatch.setattr(subdivision, "_CHUNK_CELLS", 200)
         monkeypatch.setattr(subdivision, "_richness_cache", {})
         assert [richness_ideal(g, r) for g, r in graphs] == expect
         assert np.array_equal(subdivision._cut_template_reps.__wrapped__(3, 2), reps)
@@ -692,6 +713,31 @@ class TestChoiceFunctions:
     def test_missing_cut_rejected(self, triangle):
         with pytest.raises(InvalidChoice):
             ChoiceFunction.build(triangle, {(0, 1): 0})
+
+    @pytest.mark.parametrize(
+        "vertices, edges, choices, error",
+        [
+            # a chosen edge outside its cut
+            ([0, 1, 2], [(0, 0, 1), (1, 1, 2), (2, 2, 0)],
+             {(0, 1): 2, (0, 2): 0, (1, 2): 1}, InvalidChoice),
+            # a missing cut
+            ([0, 1, 2], [(0, 0, 1), (1, 1, 2), (2, 2, 0)],
+             {(0, 1): 0, (0, 2): 0}, InvalidChoice),
+            # an extra key
+            ([0, 1, 2], [(0, 0, 1), (1, 1, 2), (2, 2, 0)],
+             {(0, 1): 0, (0, 2): 0, (1, 2): 1, (0, 1, 2): 0}, InvalidChoice),
+            # a disconnected graph
+            ([0, 1, 2, 3], [(0, 0, 1), (1, 2, 3)], {(0,): 0, (1,): 1}, DisconnectedGraph),
+        ],
+    )
+    def test_every_route_rejects_a_bad_choice_alike(self, vertices, edges, choices, error):
+        g = Graph.build(vertices, edges)
+        f = ChoiceFunction(tuple(sorted(choices.items())))  # bypasses build
+        with pytest.raises(error):
+            ChoiceFunction.build(g, choices)
+        for route in (choice_cone, choice_monoid, cut_order_from_choice):
+            with pytest.raises(error):
+                route(g, f)
 
     def test_twogon_cone(self, twogon):
         # chosen edge is the smallest: picking 0 gives {0 <= x0 <= x1}
