@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as e:
         sys.stderr.write(_canonical({"error": "SchemaError", "message": str(e)}))
         return EXIT_SCHEMA
-    except (json.JSONDecodeError, OSError, ValueError) as e:
+    except (json.JSONDecodeError, OSError, ValueError, OverflowError) as e:
         sys.stderr.write(
             _canonical({"error": type(e).__name__, "message": str(e)})
         )

@@ -31,7 +31,9 @@ MAX_HILBERT_BOX = 4_000_000  # lattice points hilbert_basis may enumerate
 
 
 def unit(rank: int, i: int) -> Vec:
-    return tuple(1 if j == i else 0 for j in range(rank))
+    v = [0] * rank  # OverflowError at once for a rank no list can hold
+    v[i] = 1
+    return tuple(v)
 
 
 def double_description(
@@ -163,44 +165,47 @@ class Cone:
         self._dual: Cone | None = None
 
     @classmethod
-    def _from_dd(cls, rank: int, lines: Sequence[Vec], rays: Sequence[Vec]) -> "Cone":
-        return cls(rank, tuple(rays), tuple(lines))
-
-    @classmethod
     def from_inequalities(
         cls,
         rank: int,
         ineqs: Iterable[Sequence[int]],
         eqs: Iterable[Sequence[int]] = (),
     ) -> "Cone":
-        lines, rays, _ = double_description(rank, ineqs, eqs)
-        return cls._from_dd(rank, lines, rays)
+        """{x : <e,x> = 0 for eqs, <a,x> >= 0 for ineqs}, from one double
+        description, with the dual read off the tight masks when the cone is
+        full dimensional and pointed.
 
-    @classmethod
-    def full_from_inequalities(cls, rank: int, ineqs: Sequence[Vec]) -> "Cone":
-        """from_inequalities for a system known to cut out a full-dimensional
-        pointed cone, with the dual read off the tight masks.
+        That is exactly when no nonzero equation is given, the result has no
+        lines and no nonzero inequality is tight on every ray.  Then every
+        nonzero inequality has a ray off it, and the sum of those rays meets
+        all of them strictly, so a ball around it lies in the cone.  A nonzero
+        equation, or an inequality tight on every ray of a pointed cone, puts
+        the cone in a hyperplane.  The masks cover only the inequalities, so
+        a given equation always leaves the dual to dual().
 
-        Every proper face of such a cone lies in a facet, and only the zero
-        inequality is tight on every ray, so the facets are the inclusion-
-        maximal tight ray sets of the other inequalities.  A facet spans a
-        hyperplane, so its inequalities share one primitive normal, and the
-        dual is the cone on those normals: facet_normals needs no second
-        double description.
+        In a full-dimensional pointed cone every proper face lies in a facet,
+        so the facets are the inclusion-maximal tight ray sets of the nonzero
+        inequalities (Fukuda & Prodon, "Double description method revisited",
+        1996).  A facet spans a hyperplane, so its inequalities share one
+        primitive normal, and the dual is the cone on those normals.  In every
+        other case dual() runs a second double description.
         """
-        lines, rays, masks = double_description(rank, ineqs)
-        assert not lines, "a full-dimensional pointed cone has no lines"
-        tight = [0] * len(ineqs)
+        ins = [tuple(int(x) for x in a) for a in ineqs]
+        eqn = [tuple(int(x) for x in e) for e in eqs]
+        lines, rays, masks = double_description(rank, ins, eqn)
+        cone = cls(rank, tuple(rays), tuple(lines))
+        tight = [0] * len(ins)
         for i, m in enumerate(masks):
             while m:
                 low = m & -m
                 tight[low.bit_length() - 1] |= 1 << i
                 m ^= low
         every = (1 << len(rays)) - 1
+        if lines or any(map(any, eqn)) or any(t == every and any(a) for a, t in zip(ins, tight)):
+            return cone
         sets = {t for t in tight if t != every and t.bit_count() >= rank - 1}
         facets = {t for t in sets if not any(t != u and t & u == t for u in sets)}
-        normals = {primitive(a) for a, t in zip(ineqs, tight) if t in facets}
-        cone = cls(rank, tuple(rays), ())
+        normals = {primitive(a) for a, t in zip(ins, tight) if t in facets}
         cone._dual = cls(rank, tuple(sorted(normals)), ())
         cone._dual._dual = cone
         return cone
@@ -212,24 +217,12 @@ class Cone:
         gens: Iterable[Sequence[int]],
         lines: Iterable[Sequence[int]] = (),
     ) -> "Cone":
-        gen_list = [tuple(int(x) for x in g) for g in gens]
-        gen_list = [g for g in gen_list if not is_zero(g)]
-        line_list = [tuple(int(x) for x in l) for l in lines]
-        line_list = [l for l in line_list if not is_zero(l)]
-        dl, dr, _ = double_description(rank, gen_list, line_list)
-        dual = cls._from_dd(rank, dl, dr)
-        pl, pr, _ = double_description(rank, dual.rays, dual.lines)
-        cone = cls._from_dd(rank, pl, pr)
-        cone._dual = dual
-        dual._dual = cone
-        return cone
+        return cls.from_inequalities(rank, gens, lines).dual()
 
     def dual(self) -> "Cone":
         if self._dual is None:
-            dl, dr, _ = double_description(self.rank, self.rays, self.lines)
-            d = Cone._from_dd(self.rank, dl, dr)
-            d._dual = self
-            self._dual = d
+            self._dual = Cone.from_inequalities(self.rank, self.rays, self.lines)
+            self._dual._dual = self
         return self._dual
 
     @property
@@ -452,7 +445,7 @@ class Fan:
 
     def _facets_match(self) -> bool:
         n = self.rank
-        if n == 0:
+        if n == 0 or not self.cones:  # the empty fan covers no orthant of positive rank
             return len(self.cones) == 1 and self.cones[0].dim() == 0
         units = {unit(n, i) for i in range(n)}
         walls: dict[tuple[tuple[Vec, ...], Vec], int] = {}

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cones import Cone
+from .cones import Cone, _is_face_of
 from .errors import (
     NotAFace,
     NotRRich,
@@ -161,17 +161,7 @@ class TropicalCurve:
                 raise NotAFace(f"{v} is not a ray of the monoid cone")
         if not s:
             return self
-        normals = [
-            f
-            for f in self.monoid.cone.facet_normals
-            if all(dot(f, v) == 0 for v in s)
-        ]
-        tight = {
-            rr
-            for rr in self.monoid.cone.rays
-            if all(dot(f, rr) == 0 for f in normals)
-        }
-        if tight != set(s):
+        if not _is_face_of(Cone(self.monoid.rank, tuple(s), ()), self.monoid.cone):
             raise NotAFace("the rays do not span a face of the monoid cone")
         # saturated kernel, put in Hermite form so that quotienting by
         # standard basis rays is literally coordinate deletion

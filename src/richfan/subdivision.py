@@ -818,7 +818,7 @@ def weakly_rich_fan(g: Graph, r: int) -> Fan:
 
     def chamber(pattern: tuple[int, ...]) -> Cone:
         normals = dict.fromkeys(c for w, j in enumerate(pattern) for c in cells[w][j])
-        return Cone.full_from_inequalities(n, units + _irredundant(n, normals))
+        return Cone.from_inequalities(n, units + _irredundant(n, normals))
 
     p = [(r + 1) ** j for j in range(n)]
     start = tuple(
@@ -896,8 +896,7 @@ def choice_monoid(g: Graph, f: ChoiceFunction) -> SharpMonoid:
     n, pairs = _choice_pairs(g, f.choices)
     if _closure_of_choice(n, pairs) is None:
         raise NotMinimalOrder("choice generates a cyclic (non-minimal) preorder")
-    gens = [unit(n, j) for j in range(n)] + [_difference(n, h, e) for h, e in pairs]
-    return SharpMonoid.from_rays(n, gens)
+    return SharpMonoid(n, choice_cone(g, f).dual())
 
 
 # -- reports ------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Command line driver: exit codes, canonical output, atomic writes."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -7,9 +10,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import richfan
-from richfan.cli import main
+from richfan.cli import _NEEDS_R, main
 from richfan.graphs import MAX_CUT_VERTICES
 
 
@@ -359,6 +363,91 @@ class TestOutputDiscipline:
         main(["contract", "--contract", "", triangle_path, "--out", out])
         assert main(["cuts", out]) == 0
         assert json.loads(capsys.readouterr().out)["cuts"] == [[0, 1], [0, 2], [1, 2]]
+
+
+CURVE = dict(TRIANGLE, monoid=NN3, lengths={"0": [1, 0, 0], "1": [1, 1, 0], "2": [1, 1, 1]})
+FAN = {
+    "rank": 3,
+    "cones": [
+        {"rays": [[1, 0, 0], [1, 1, 0], [0, 0, 1]]},
+        {"rays": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]},
+    ],
+}
+FAMILY = dict(TRIANGLE, sigma_rays=[[1, 0], [1, 1]], length_map=[[1, 0], [1, 1], [2, 1]])
+# each verb with a valid document and the arguments besides --r
+FUZZ_SEEDS = {
+    "cuts": (TRIANGLE, []),
+    "blocks": (TRIANGLE, []),
+    "contract": (TRIANGLE, ["--contract", "0"]),
+    "check-rich": (CURVE, []),
+    "check-weakly-rich": (CURVE, []),
+    "basic-model": (CURVE, []),
+    "ideal": (TRIANGLE, []),
+    "subdivide": (TRIANGLE, []),
+    "verify-fan": (FAN, []),
+    "smoothness": (TRIANGLE, []),
+    "factors": (FAMILY, []),
+    "cross-section": (FAN, ["--format", "json"]),
+}
+DROP = object()
+ATOMS = [DROP, True, None, "x", "0", 1.5, [], 10**20]
+
+
+def _paths(doc, at=()):
+    yield at
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, at + (k,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with up to three nodes dropped or replaced by JSON atoms."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from(list(_paths(doc))))
+        atom = draw(st.sampled_from(ATOMS))
+        if not at:
+            doc = doc if atom is DROP else copy.deepcopy(atom)
+            continue
+        parent = doc
+        for k in at[:-1]:
+            parent = parent[k]
+        if atom is DROP:
+            del parent[at[-1]]
+        else:
+            parent[at[-1]] = copy.deepcopy(atom)
+    return doc
+
+
+def fuzz_case(verb: str):
+    doc = FUZZ_SEEDS[verb][0]
+    return st.tuples(st.just(verb), mutated(doc), st.sampled_from(["1", "2", "0", "x", "inf"]))
+
+
+class TestFuzz:
+    @given(st.sampled_from(sorted(FUZZ_SEEDS)).flatmap(fuzz_case))
+    # a rank no list can hold once ran out of memory in the double description
+    @example(("verify-fan", {"rank": 10**20, "cones": []}, "1"))
+    @example(("cross-section", {"rank": 10**20, "cones": [{"rays": []}]}, "1"))
+    @example(("check-rich", dict(CURVE, monoid={"rank": 10**20, "rays": []}), "1"))
+    @settings(max_examples=500, deadline=None)
+    def test_mutated_documents_keep_the_exit_contract(self, tmp_path_factory, case):
+        verb, doc, r = case
+        path = tmp_path_factory.getbasetemp() / "fuzz-doc.json"
+        path.write_text(json.dumps(doc))
+        args = [verb, str(path), *FUZZ_SEEDS[verb][1]] + (["--r", r] if verb in _NEEDS_R else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in (0, 1, 2, 3)
+        text = err.getvalue()
+        if code in (1, 2):
+            obj = json.loads(text)
+            assert isinstance(obj, dict)
+            assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        else:
+            assert text == ""
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(richfan.__file__)))

@@ -20,10 +20,11 @@ from richfan import (
     is_unimodular,
     weakly_rich_fan,
 )
+from richfan import cones
 from richfan.catalog import small_connected_graphs
 from richfan.cones import _is_face_of, double_description, unit
 from richfan.errors import DimensionMismatch
-from richfan.intlinalg import det, dot, hnf_rows, primitive, saturated_span
+from richfan.intlinalg import det, dot, hnf_rows, primitive, saturated_span, vscale
 
 
 def orthant(k: int) -> Cone:
@@ -228,19 +229,28 @@ class TestDoubleDescription:
             assert m == sum(1 << k for k, a in enumerate(ineqs) if dot(a, r) == 0)
 
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_full_from_inequalities(self, data):
-        # units keep the cone pointed; zero rows and repeats must not matter
-        n = data.draw(st.integers(1, 5))
+        # the oracle is a fresh double description of the rays and lines.
+        # The units keep the cone pointed; without them it may have lines.
+        # A pair a, -a is an implicit equality, eqs a given one; zero rows
+        # and repeats must not matter.  The dual is read off the masks
+        # exactly for the full-dimensional pointed cones.
+        n = data.draw(st.integers(0, 5))
         vec = st.tuples(*[st.integers(-2, 2)] * n)
+        units = [unit(n, i) for i in range(n)] if data.draw(st.booleans()) else []
         extra = data.draw(st.lists(vec, max_size=6))
-        ineqs = [unit(n, i) for i in range(n)] + extra + extra[:1]
-        plain = Cone.from_inequalities(n, ineqs)
-        assume(plain.dim() == n)
-        full = Cone.full_from_inequalities(n, ineqs)
-        assert full == plain
-        assert full.facet_normals == plain.facet_normals
-        assert full.span_equations == plain.span_equations == ()
+        flat = data.draw(st.lists(vec, max_size=1))
+        eqs = data.draw(st.lists(vec, max_size=1))
+        ineqs = units + extra + extra[:1] + flat + [vscale(-1, a) for a in flat]
+        cone = Cone.from_inequalities(n, ineqs, eqs)
+        assert (cone._dual is not None) == (cone.is_pointed and cone.dim() == n)
+        lines, rays, _ = double_description(n, ineqs, eqs)
+        assert (cone.lines, cone.rays) == (tuple(lines), tuple(rays))
+        dual_lines, dual_rays, _ = double_description(n, cone.rays, cone.lines)
+        assert cone.span_equations == tuple(dual_lines)
+        assert cone.facet_normals == tuple(dual_rays)
+        assert cone.dual().dual() is cone
 
     def test_full_from_inequalities_skips_lower_faces(self):
         # a square cone times a quadrant: x3 + x4 >= 0 is tight on the four
@@ -249,10 +259,34 @@ class TestDoubleDescription:
             (1, 0, 1, 0, 0), (-1, 0, 1, 0, 0), (0, 1, 1, 0, 0), (0, -1, 1, 0, 0),
             unit(5, 3), unit(5, 4), (0, 0, 0, 1, 1), (0, 0, 0, 0, 0), (2, 0, 2, 0, 0),
         ]
-        full = Cone.full_from_inequalities(5, ineqs)
+        full = Cone.from_inequalities(5, ineqs)
+        assert full._dual is not None  # read off the masks
         assert len(full.rays) == 6
         assert full.facet_normals == tuple(sorted(primitive(a) for a in ineqs[:6]))
-        assert full.facet_normals == Cone.from_inequalities(5, ineqs).facet_normals
+        assert full.facet_normals == tuple(double_description(5, full.rays, full.lines)[1])
+
+    def test_one_double_description_per_full_cone(self, monkeypatch, triangle):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return double_description(*args)
+
+        monkeypatch.setattr(cones, "double_description", counted)
+
+        def count(build) -> int:
+            calls.clear()
+            for cone in build():
+                cone.facet_normals, cone.span_equations, cone.dual().dual()
+            return len(calls)
+
+        assert count(lambda: [Cone.from_rays(3, [(1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1)])]) == 1
+        assert count(lambda: [Cone.from_rays(2, [(0, 1)], [(1, 0)])]) == 2
+        assert count(lambda: [Cone.from_rays(3, [(1, 0, 0), (1, 1, 0)])]) == 2
+        # one per walk chamber, and one per cone of a fan read back
+        assert count(lambda: weakly_rich_fan(triangle, 2).cones) == 30
+        doc = weakly_rich_fan(triangle, 2).to_obj()
+        assert count(lambda: Fan.from_obj(doc).cones) == len(doc["cones"]) == 30
 
 
 class TestContainment:
@@ -386,6 +420,14 @@ class TestFan:
     def test_gap_not_complete(self):
         f = Fan(2, [Cone.from_rays(2, [(1, 0), (1, 1)])])
         assert not f.is_complete_on_orthant()
+
+    def test_empty_fan_in_any_rank(self):
+        # decided without one vector of the rank
+        for n in (1, 3, 10**20):
+            assert not Fan(n, []).is_complete_on_orthant()
+            assert Fan(n, []).is_valid()
+        assert not Fan(0, []).is_complete_on_orthant()
+        assert Fan(0, [Cone.from_rays(0, [])]).is_complete_on_orthant()
 
     def test_orthant_fan_complete(self):
         assert Fan(2, [orthant(2)]).is_complete_on_orthant()

@@ -216,6 +216,14 @@ class TestSpecialize:
         with pytest.raises(NotAFace):
             nested_curve.specialize([(1, 1, 0)])
 
+    def test_rays_of_no_face(self, triangle):
+        square = SharpMonoid.from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+        c = TropicalCurve.build(triangle, square, {0: (1, 0, 0), 1: (1, 1, 1), 2: (2, 1, 1)})
+        with pytest.raises(NotAFace, match="do not span a face"):
+            c.specialize([(1, 0, 0), (0, 1, 1)])  # a diagonal of the square
+        s = c.specialize([(1, 0, 0), (1, 0, 1)])
+        assert s.monoid.rank == 1 and sorted(s.graph.edge_ids) == [1, 2]
+
     def test_preserves_weak_richness(self, nested_curve):
         for face in ([], [(0, 0, 1)], [(0, 0, 1), (0, 1, 0)]):
             s = nested_curve.specialize(face)
