@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, SchemaError, is_int, is_int_vector
+from .errors import DimensionMismatch, SchemaError, check_rank, is_int, is_int_vector
 from .intlinalg import (
     Vec,
     det,
@@ -224,6 +225,28 @@ class Cone:
             self._dual = Cone.from_inequalities(self.rank, self.rays, self.lines)
             self._dual._dual = self
         return self._dual
+
+    def permuted(self, perm: Sequence[int]) -> "Cone":
+        """The image of a full-dimensional pointed cone under the coordinate
+        permutation that moves coordinate i to perm[i].
+
+        Permuting coordinates keeps vectors primitive, so the permuted and
+        re-sorted rays and facet normals are canonical, and the image comes
+        with its dual: no double description runs once the dual is known.
+        """
+        d = self.dual()
+        if self.lines or d.lines:
+            raise ValueError("only a full-dimensional pointed cone is permuted")
+        if self.rank < 2:
+            return self
+        take = [0] * self.rank
+        for i, p in enumerate(perm):
+            take[p] = i
+        move = itemgetter(*take)
+        cone = Cone(self.rank, tuple(sorted(map(move, self.rays))), ())
+        cone._dual = Cone(self.rank, tuple(sorted(map(move, d.rays))), ())
+        cone._dual._dual = cone
+        return cone
 
     @property
     def facet_normals(self) -> tuple[Vec, ...]:
@@ -525,6 +548,7 @@ class Fan:
         cones = obj.get("cones")
         if not is_int(rank) or rank < 0:
             raise SchemaError("fan.rank must be a nonnegative integer")
+        check_rank(rank, "fan.rank")
         if not isinstance(cones, list):
             raise SchemaError("fan.cones must be a list")
         ray_lists = []

@@ -15,6 +15,7 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
     UnknownEdge,
+    check_rank,
     is_int,
     is_int_vector,
 )
@@ -365,6 +366,7 @@ class RealFamily:
             m = obj.get("sigma_rank")
             if not is_int(m) or m < 0:
                 raise SchemaError("family without rays needs sigma_rank")
+        check_rank(m, "family sigma rank")
         cone = Cone.from_rays(m, [tuple(r) for r in rays], [tuple(l) for l in lines])
         rows = obj.get("length_map")
         if not isinstance(rows, list) or len(rows) != len(graph.edges):

@@ -13,6 +13,16 @@ class SchemaError(Exception):
     """Input document does not match the expected JSON shape."""
 
 
+MAX_RANK = 64  # the largest ambient rank a document may declare
+
+
+def check_rank(rank: int, what: str) -> None:
+    """SchemaError for a document rank above MAX_RANK, before anything of that
+    rank is built.  The library constructors take any rank."""
+    if rank > MAX_RANK:
+        raise SchemaError(f"{what} {rank} exceeds the limit of {MAX_RANK}")
+
+
 def is_int(x: object) -> bool:
     """A JSON integer: an int but not a bool, so that true never reads as 1."""
     return type(x) is int

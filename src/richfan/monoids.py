@@ -14,7 +14,16 @@ from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from . import cones
-from .errors import AllZero, EmptySet, NotAMember, NotRClose, SchemaError, is_int, is_int_vector
+from .errors import (
+    AllZero,
+    EmptySet,
+    NotAMember,
+    NotRClose,
+    SchemaError,
+    check_rank,
+    is_int,
+    is_int_vector,
+)
 from .intlinalg import Vec, is_zero, primitive, vec_gcd, vsub
 
 INF = math.inf
@@ -191,6 +200,7 @@ class SharpMonoid:
         rays = obj.get("rays")
         if not is_int(rank) or rank < 0:
             raise SchemaError("monoid.rank must be a nonnegative integer")
+        check_rank(rank, "monoid.rank")
         if not isinstance(rays, list):
             raise SchemaError("monoid.rays must be a list of integer vectors")
         if not all(is_int_vector(ray, rank) for ray in rays):

@@ -16,7 +16,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Collection, Iterable, Mapping, Sequence
+from operator import getitem, itemgetter
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .cones import Cone, Fan, double_description, is_unimodular, unit
 from .curves import RealFamily
@@ -62,6 +63,7 @@ _RICHNESS_CACHE_LIMIT = 20_000  # generators per cached ideal
 _RICHNESS_CACHE_ENTRIES = 1024  # cached ideals; the oldest is evicted first
 _TEMPLATE_CACHE_ENTRIES = 64  # (cut size, r) pairs per template cache
 MAX_WALLS = 4096
+MAX_CHAMBERS = 100_000  # chambers one walk may build
 _richness_cache: dict[tuple, "MonomialIdeal"] = {}
 
 
@@ -674,7 +676,11 @@ def _difference(n: int, h: int, e: int) -> Vec:
 def choice_cone(g: Graph, f: ChoiceFunction) -> Cone:
     """{x >= 0 : x_f(c) <= x_e for every cut c and edge e of c}, the r = 1
     cone where the chosen edge is smallest in every cut."""
-    n, pairs = _choice_pairs(g, f.choices)
+    return _choice_cone(*_choice_pairs(g, f.choices))
+
+
+def _choice_cone(n: int, pairs: Iterable[tuple[int, int]]) -> Cone:
+    """{x >= 0 : x_h <= x_e for every coordinate pair (h, e)}."""
     ineqs = [unit(n, j) for j in range(n)] + [_difference(n, h, e) for h, e in pairs]
     return Cone.from_inequalities(n, ineqs)
 
@@ -760,29 +766,15 @@ def choice_function_fan(g: Graph) -> Fan:
     return weakly_rich_fan(g, 1)
 
 
-def weakly_rich_fan(g: Graph, r: int) -> Fan:
-    """The weakly rich subdivision of the orthant of edge lengths.
+def _arrangement(g: Graph, r: int):
+    """The chamber arrangement of the weakly rich fan of g at r, as
+    (n, walls, start, chamber, neighbours); see weakly_rich_fan.
 
-    The richness ideal is the product, over cuts c and divisor tuples lam of
-    r, of the ideals (x_e^lam_e : e in c), so its Newton fan is the common
-    refinement of the factors' normal fans (Gritzmann & Sturmfels, SIAM J.
-    Discrete Math. 1993).  On the orthant the cells of one factor are where
-    one edge h attains min over e in c of lam_e x_e, and tuples equal up to
-    scaling have the same cells.  A maximal cone is therefore a chamber: the
-    set where every wall (c, lam / gcd(lam)) has one fixed argmin h, cut out
-    by lam_e x_e - lam_h x_h >= 0 and x >= 0, less what _irredundant drops.
-
-    The walk is breadth first over argmin patterns.  It starts at the
-    pattern of p = (1, t, ..., t^(n-1)) with t = r + 1, which lies on no
-    wall: lam_e t^i <= r t^i < t^j <= lam_f t^j for i < j.  A facet whose
-    inner normal f is not a unit vector has a relative interior point q > 0.
-    A wall tied at q contains the facet, or it would split the chamber near
-    q, so f is the primitive normal lam_e x_e - lam_h x_h of the tie, and no
-    third edge ties there (its wall would be another hyperplane through the
-    facet).  The neighbour's pattern, the argmin at q - eps f, is therefore
-    the chamber's with h replaced by e on exactly the walls whose argmin h
-    ties with e along f.  A generic segment between two chambers crosses
-    only such facets, so the walk reaches every chamber.
+    walls are the sorted distinct (cut positions, lam / gcd lam); a pattern
+    holds one argmin index per wall; start is the pattern of the walk's start
+    point; chamber(pattern) is the pattern's cone, from one double
+    description; neighbours(pattern, cone) yields the patterns across the
+    cone's facets off the coordinate hyperplanes.
 
     More than MAX_WALLS walls raise ValueError before the first chamber.
     """
@@ -820,17 +812,7 @@ def weakly_rich_fan(g: Graph, r: int) -> Fan:
         normals = dict.fromkeys(c for w, j in enumerate(pattern) for c in cells[w][j])
         return Cone.from_inequalities(n, units + _irredundant(n, normals))
 
-    p = [(r + 1) ** j for j in range(n)]
-    start = tuple(
-        min(range(len(ps)), key=lambda j: lam[j] * p[ps[j]]) for ps, lam in walls
-    )
-    seen = {start}
-    todo = deque([start])
-    cones = []
-    while todo:
-        pattern = todo.popleft()
-        cone = chamber(pattern)
-        cones.append(cone)
+    def neighbours(pattern: tuple[int, ...], cone: Cone) -> Iterator[tuple[int, ...]]:
         for f in cone.facet_normals:
             moves = [(w, k) for w, j, k in flips.get(f, ()) if pattern[w] == j]
             if not moves:
@@ -838,10 +820,116 @@ def weakly_rich_fan(g: Graph, r: int) -> Fan:
             nxt = list(pattern)
             for w, k in moves:
                 nxt[w] = k
-            nxt = tuple(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
+            yield tuple(nxt)
+
+    p = [(r + 1) ** j for j in range(n)]
+    start = tuple(
+        min(range(len(ps)), key=lambda j: lam[j] * p[ps[j]]) for ps, lam in walls
+    )
+    return n, walls, start, chamber, neighbours
+
+
+def _wall_symmetries(n: int, walls: Sequence[tuple[Vec, Vec]]):
+    """(perm, gather, tables) for every adjacent transposition inside a block
+    of _young_blocks over the walls' cut supports.
+
+    perm is the coordinate transposition.  The image of a pattern is
+    tuple(map(getitem, tables, gather(pattern))): gather(pattern)[w] is the
+    argmin of the wall that moves to wall w, and tables[w] sends that wall's
+    argmin indices to w's.  The block group preserves the multiset of cut
+    supports, and _cut_divisors depends only on the cut sizes, so every
+    divisor tuple of an image cut is a wall too.
+    """
+    index = {wall: w for w, wall in enumerate(walls)}
+    blocks = _young_blocks([frozenset(s) for s in {ps for ps, _ in walls}], n)
+    gens = []
+    for b in blocks:
+        for a, c in zip(b, b[1:]):
+            perm = list(range(n))
+            perm[a], perm[c] = c, a
+            src = [0] * len(walls)
+            tables: list[tuple[int, ...]] = [()] * len(walls)
+            for w, (ps, lam) in enumerate(walls):
+                moved = sorted((perm[x], l, j) for j, (x, l) in enumerate(zip(ps, lam)))
+                image = index[tuple(x for x, _, _ in moved), tuple(l for _, l, _ in moved)]
+                table = [0] * len(ps)
+                for k, (_, _, j) in enumerate(moved):
+                    table[j] = k
+                src[image], tables[image] = w, tuple(table)
+            if len(src) > 1:
+                gather = itemgetter(*src)
+            else:  # itemgetter returns a bare item for one index, fails for none
+                gather = lambda p, src=tuple(src): tuple(map(p.__getitem__, src))
+            gens.append((tuple(perm), gather, tuple(tables)))
+    return gens
+
+
+def weakly_rich_fan(g: Graph, r: int) -> Fan:
+    """The weakly rich subdivision of the orthant of edge lengths.
+
+    The richness ideal is the product, over cuts c and divisor tuples lam of
+    r, of the ideals (x_e^lam_e : e in c), so its Newton fan is the common
+    refinement of the factors' normal fans (Gritzmann & Sturmfels, SIAM J.
+    Discrete Math. 1993).  On the orthant the cells of one factor are where
+    one edge h attains min over e in c of lam_e x_e, and tuples equal up to
+    scaling have the same cells.  A maximal cone is therefore a chamber: the
+    set where every wall (c, lam / gcd(lam)) has one fixed argmin h, cut out
+    by lam_e x_e - lam_h x_h >= 0 and x >= 0, less what _irredundant drops.
+
+    The walk is breadth first over argmin patterns.  It starts at the
+    pattern of p = (1, t, ..., t^(n-1)) with t = r + 1, which lies on no
+    wall: lam_e t^i <= r t^i < t^j <= lam_f t^j for i < j.  A facet whose
+    inner normal f is not a unit vector has a relative interior point q > 0.
+    A wall tied at q contains the facet, or it would split the chamber near
+    q, so f is the primitive normal lam_e x_e - lam_h x_h of the tie, and no
+    third edge ties there (its wall would be another hyperplane through the
+    facet).  The neighbour's pattern, the argmin at q - eps f, is therefore
+    the chamber's with h replaced by e on exactly the walls whose argmin h
+    ties with e along f.  A generic segment between two chambers crosses
+    only such facets, so the walk reaches every chamber.
+
+    The walk runs one double description per orbit of chambers under the
+    edge permutations of _wall_symmetries, which permute the walls and so
+    the chambers (Bremner, Dutour Sikiric & Schurmann, "Polyhedral
+    representation conversion up to symmetries", CRM Proc. 48, 2009).  The
+    first pattern popped from an orbit is its representative R: its chamber
+    is built once, the orbit is closed under the generators with the
+    permuted patterns and cones (Cone.permuted, no double description), and
+    only R's facets push neighbours.  This reaches every orbit.  Chambers
+    are connected across facets, so orbits are too; if orbit O is reached
+    and O' lies next to it, some chamber C of O shares a facet with some C'
+    of O', and the group element taking C to R takes C' to a chamber of O'
+    across one of R's facets.  Fan sorts its cones, so the fan does not
+    depend on the order of the visit.
+
+    More than MAX_WALLS walls raise ValueError before the first chamber, and
+    more than MAX_CHAMBERS chambers raise it once the orbit that passes the
+    limit is closed.
+    """
+    n, walls, start, chamber, neighbours = _arrangement(g, r)
+    gens = _wall_symmetries(n, walls)
+    seen: set[tuple[int, ...]] = set()
+    todo = deque([start])
+    cones: list[Cone] = []
+    while todo:
+        rep = todo.popleft()
+        if rep in seen:
+            continue
+        seen.add(rep)
+        cone = chamber(rep)
+        orbit = [(rep, cone)]
+        for pattern, c in orbit:  # the orbit grows as it is read
+            for perm, gather, tables in gens:
+                image = tuple(map(getitem, tables, gather(pattern)))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append((image, c.permuted(perm)))
+        cones.extend(c for _, c in orbit)
+        if len(cones) > MAX_CHAMBERS:
+            raise ValueError(
+                f"the walk reached {len(cones)} chambers, above the limit of {MAX_CHAMBERS}"
+            )
+        todo.extend(nxt for nxt in neighbours(rep, cone) if nxt not in seen)
     return Fan(n, cones)
 
 
@@ -896,7 +984,7 @@ def choice_monoid(g: Graph, f: ChoiceFunction) -> SharpMonoid:
     n, pairs = _choice_pairs(g, f.choices)
     if _closure_of_choice(n, pairs) is None:
         raise NotMinimalOrder("choice generates a cyclic (non-minimal) preorder")
-    return SharpMonoid(n, choice_cone(g, f).dual())
+    return SharpMonoid(n, _choice_cone(n, pairs).dual())
 
 
 # -- reports ------------------------------------------------------------------

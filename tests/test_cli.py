@@ -138,6 +138,52 @@ class TestExitCodes:
         assert out == ""
         assert err == '{"error":"ValueError","message":"8113 walls exceed the limit of 4096 for r=720"}\n'
 
+    def test_chamber_limit(self, tmp_path, capsys, monkeypatch):
+        # the 336 chambers of the 4-cycle at r=2 fall in orbits of 24 under
+        # S_4, so the walk stops at the fifth orbit, 120 chambers
+        monkeypatch.setattr(richfan.subdivision, "MAX_CHAMBERS", 100)
+        square = {"vertices": list(range(4)), "edges": [{"id": i, "ends": [i, (i + 1) % 4]} for i in range(4)]}
+        p = write(tmp_path, "square.json", square)
+        assert main(["subdivide", p, "--r", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            '{"error":"ValueError","message":"the walk reached 120 chambers,'
+            ' above the limit of 100"}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "verb, doc, message",
+        [
+            (
+                "check-rich",
+                {**TRIANGLE, "monoid": {"rank": 3000, "rays": []}, "lengths": {}},
+                "monoid.rank 3000 exceeds the limit of 64",
+            ),
+            ("verify-fan", {"rank": 3000, "cones": [{"rays": []}]}, "fan.rank 3000 exceeds the limit of 64"),
+            (
+                "factors",
+                {**TRIANGLE, "sigma_rays": [], "sigma_rank": 3000, "length_map": [[0] * 3000] * 3},
+                "family sigma rank 3000 exceeds the limit of 64",
+            ),
+            (
+                "factors",
+                {**TRIANGLE, "sigma_rays": [[1] * 65], "length_map": [[1] * 65] * 3},
+                "family sigma rank 65 exceeds the limit of 64",
+            ),
+        ],
+    )
+    def test_rank_limit_fails_fast(self, tmp_path, capsys, verb, doc, message):
+        # a cone with few rays in rank 3000 took more than 100 s to build
+        p = write(tmp_path, "doc.json", doc)
+        args = [verb, p] + (["--r", "1"] if verb in _NEEDS_R else [])
+        t0 = time.process_time()
+        assert main(args) == 2
+        assert time.process_time() - t0 < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == json.dumps({"error": "SchemaError", "message": message}, separators=(",", ":")) + "\n"
+
     def test_cut_vertex_limit_fails_fast(self, tmp_path, capsys):
         n = MAX_CUT_VERTICES + 1
         path = {

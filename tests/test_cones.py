@@ -283,10 +283,40 @@ class TestDoubleDescription:
         assert count(lambda: [Cone.from_rays(3, [(1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1)])]) == 1
         assert count(lambda: [Cone.from_rays(2, [(0, 1)], [(1, 0)])]) == 2
         assert count(lambda: [Cone.from_rays(3, [(1, 0, 0), (1, 1, 0)])]) == 2
-        # one per walk chamber, and one per cone of a fan read back
-        assert count(lambda: weakly_rich_fan(triangle, 2).cones) == 30
+        # one per orbit of walk chambers: the triangle's 30 chambers at r=2
+        # fall in 5 orbits of S_3, K4's 96 at r=1 in 96 orbits of the
+        # trivial group; and one per cone of a fan read back
+        assert count(lambda: weakly_rich_fan(triangle, 2).cones) == 5
+        k4 = Graph.build(range(4), [(i, u, v) for i, (u, v) in enumerate(combinations(range(4), 2))])
+        assert count(lambda: weakly_rich_fan(k4, 1).cones) == 96
         doc = weakly_rich_fan(triangle, 2).to_obj()
         assert count(lambda: Fan.from_obj(doc).cones) == len(doc["cones"]) == 30
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_permuted_matches_permuted_inequalities(self, data):
+        # permuting a full-dimensional pointed cone gives the cone of the
+        # permuted inequalities, with no double description
+        n = data.draw(st.integers(0, 5))
+        vec = st.tuples(*[st.integers(-2, 2)] * n)
+        ineqs = [unit(n, i) for i in range(n)] + data.draw(st.lists(vec, max_size=6))
+        cone = Cone.from_inequalities(n, ineqs)
+        assume(cone.dim() == n)
+        perm = data.draw(st.permutations(range(n)))
+        moved = [tuple(a[perm.index(k)] for k in range(n)) for a in ineqs]
+        expected = Cone.from_inequalities(n, moved)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cones, "double_description", None)
+            image = cone.permuted(perm)
+            assert image.dual().dual() is image
+        assert (image.rays, image.lines) == (expected.rays, expected.lines)
+        assert (image.facet_normals, image.span_equations) == (expected.facet_normals, ())
+
+    def test_permuted_rejects_lines_and_lower_dimensions(self):
+        with pytest.raises(ValueError):
+            Cone.from_inequalities(2, [(0, 1)]).permuted((1, 0))
+        with pytest.raises(ValueError):
+            Cone.from_rays(3, [(1, 0, 0), (1, 1, 0)]).permuted((1, 0, 2))
 
 
 class TestContainment:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import deque
 from itertools import permutations, product
 
 import numpy as np
@@ -28,7 +29,7 @@ from richfan import (
     weakly_rich_fan,
 )
 from richfan.catalog import small_connected_graphs
-from richfan.cones import unit
+from richfan.cones import double_description, unit
 from richfan.errors import (
     DimensionMismatch,
     DisconnectedGraph,
@@ -40,6 +41,7 @@ from richfan.errors import (
 from richfan import subdivision
 from richfan.monoids import divisors
 from richfan.subdivision import (
+    _arrangement,
     _closure_of_choice,
     _cut_template_rows,
     _minimalize_small,
@@ -118,6 +120,30 @@ def choice_enumeration_fan(g: Graph) -> Fan:
         assert cone.dim() == n
         cones.append(cone)
     return Fan(n, cones)
+
+
+def plain_walk_reference(g: Graph, r: int) -> Fan:
+    """Reference route for weakly_rich_fan: the breadth-first walk over every
+    chamber, one double description each, without the edge symmetry."""
+    n, _, start, chamber, neighbours = _arrangement(g, r)
+    seen = {start}
+    todo = deque([start])
+    cones = []
+    while todo:
+        pattern = todo.popleft()
+        cone = chamber(pattern)
+        cones.append(cone)
+        for nxt in neighbours(pattern, cone):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return Fan(n, cones)
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g with its edges renamed to shuffled, non-contiguous ids."""
+    ids = rng.sample(range(100), len(g.edges))
+    return Graph.build(g.vertices, [(i, e.u, e.v) for i, e in zip(ids, g.edges)])
 
 
 def _cut_template(size: int, r: int) -> MonomialIdeal:
@@ -691,6 +717,49 @@ class TestChamberWalk:
         fan = weakly_rich_fan(cycle(n), 2**m)
         assert len(fan.cones) == count
         assert fan.is_complete_on_orthant()
+
+    @pytest.mark.parametrize(
+        "graphs, r",
+        [
+            *((small_connected_graphs(4), r) for r in (1, 2, 3)),
+            (small_connected_graphs(5), 1),
+            ([cycle(4)], 2),
+            ([cycle(4)], 4),
+            ([cycle(5)], 2),
+        ],
+        ids=["census4-r1", "census4-r2", "census4-r3", "census5-r1", "4-cycle-r2", "4-cycle-r4", "5-cycle-r2"],
+    )
+    def test_matches_plain_walk(self, graphs, r):
+        # the same rays, lines and facet normals, cone by cone, also with
+        # shuffled edge ids, which move the symmetry blocks around
+        rng = random.Random(r)
+        for g in graphs:
+            for h in (g, relabelled(g, rng)):
+                walk, plain = weakly_rich_fan(h, r), plain_walk_reference(h, r)
+                assert [(c.rays, c.lines, c.facet_normals) for c in walk.cones] == [
+                    (c.rays, c.lines, c.facet_normals) for c in plain.cones
+                ], (h.to_obj(), r)
+
+    def test_one_double_description_per_orbit(self, monkeypatch):
+        # S_5 permutes the 5,040 chambers of the 5-cycle at r=2 in 42 orbits,
+        # the Catalan number C_5
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return double_description(*args)
+
+        monkeypatch.setattr("richfan.cones.double_description", counted)
+        assert len(weakly_rich_fan(cycle(5), 2).cones) == 5040
+        assert len(calls) == 42
+
+    def test_chamber_limit(self, monkeypatch):
+        # the 4-cycle at r=2: 336 chambers in 14 orbits of 24
+        monkeypatch.setattr(subdivision, "MAX_CHAMBERS", 336)
+        assert len(weakly_rich_fan(cycle(4), 2).cones) == 336
+        monkeypatch.setattr(subdivision, "MAX_CHAMBERS", 100)
+        with pytest.raises(ValueError, match="^the walk reached 120 chambers, above the limit of 100$"):
+            weakly_rich_fan(cycle(4), 2)
 
     def test_duals_match_double_description(self):
         # the walk's cones carry duals read off the tight masks
