@@ -11,20 +11,10 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Callable
 
-from .cones import Fan
-from .curves import RealFamily, TropicalCurve
-from .drawing import cross_section, render_svg
+# each handler imports the modules its verb runs, so a request loads no more
 from .errors import DomainError, SchemaError
-from .graphs import Graph
-from .subdivision import (
-    factors_through,
-    richness_ideal,
-    smoothness_report,
-    weakly_rich_fan,
-)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -40,6 +30,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".richfan-")
     try:
@@ -75,18 +67,24 @@ def _bool_exit(value: bool) -> int:
 
 
 def _run_cuts(args) -> int:
+    from .graphs import Graph
+
     g = Graph.from_obj(_load(args.input))
     _emit(_canonical({"cuts": [list(c) for c in g.cuts()]}), args.out)
     return EXIT_OK
 
 
 def _run_blocks(args) -> int:
+    from .graphs import Graph
+
     g = Graph.from_obj(_load(args.input))
     _emit(_canonical({"blocks": [list(b) for b in g.blocks()]}), args.out)
     return EXIT_OK
 
 
 def _run_contract(args) -> int:
+    from .graphs import Graph
+
     g = Graph.from_obj(_load(args.input))
     h = g.contract(_edge_list(args.contract))
     _emit(_canonical(h.to_obj()), args.out)
@@ -94,16 +92,22 @@ def _run_contract(args) -> int:
 
 
 def _run_check_rich(args) -> int:
+    from .curves import TropicalCurve
+
     c = TropicalCurve.from_obj(_load(args.input))
     return _bool_exit(c.is_r_rich(_parse_r(args.r)))
 
 
 def _run_check_weakly_rich(args) -> int:
+    from .curves import TropicalCurve
+
     c = TropicalCurve.from_obj(_load(args.input))
     return _bool_exit(c.is_weakly_r_rich(_parse_r(args.r)))
 
 
 def _run_basic_model(args) -> int:
+    from .curves import TropicalCurve
+
     c = TropicalCurve.from_obj(_load(args.input))
     m = c.basic_model(_parse_r(args.r))
     obj = {
@@ -117,6 +121,9 @@ def _run_basic_model(args) -> int:
 
 
 def _run_ideal(args) -> int:
+    from .graphs import Graph
+    from .subdivision import richness_ideal
+
     g = Graph.from_obj(_load(args.input))
     i = richness_ideal(g, _parse_r(args.r))
     _emit(_canonical(i.to_obj()), args.out)
@@ -124,6 +131,9 @@ def _run_ideal(args) -> int:
 
 
 def _run_subdivide(args) -> int:
+    from .graphs import Graph
+    from .subdivision import weakly_rich_fan
+
     g = Graph.from_obj(_load(args.input))
     fan = weakly_rich_fan(g, _parse_r(args.r))
     _emit(_canonical(fan.to_obj()), args.out)
@@ -131,6 +141,8 @@ def _run_subdivide(args) -> int:
 
 
 def _run_verify_fan(args) -> int:
+    from .cones import Fan
+
     fan = Fan.from_obj(_load(args.input))
     complete = fan.is_complete_on_orthant()
     valid = complete or fan.is_valid()
@@ -139,6 +151,9 @@ def _run_verify_fan(args) -> int:
 
 
 def _run_smoothness(args) -> int:
+    from .graphs import Graph
+    from .subdivision import smoothness_report, weakly_rich_fan
+
     g = Graph.from_obj(_load(args.input))
     fan = weakly_rich_fan(g, _parse_r(args.r))
     rep = smoothness_report(fan)
@@ -148,12 +163,18 @@ def _run_smoothness(args) -> int:
 
 
 def _run_factors(args) -> int:
+    from .curves import RealFamily
+    from .subdivision import factors_through, weakly_rich_fan
+
     fam = RealFamily.from_obj(_load(args.input))
     fan = weakly_rich_fan(fam.graph, _parse_r(args.r))
     return _bool_exit(factors_through(fam, fan))
 
 
 def _run_cross_section(args) -> int:
+    from .cones import Fan
+    from .drawing import cross_section, render_svg
+
     fan = Fan.from_obj(_load(args.input))
     if args.format == "json":
         polys = cross_section(fan)

@@ -19,6 +19,7 @@ from itertools import combinations, permutations, product
 from operator import getitem, itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
+from . import _numpy_spec
 from .cones import Cone, Fan, double_description, is_unimodular, unit
 from .curves import RealFamily
 from .errors import (
@@ -35,23 +36,21 @@ from .intlinalg import Vec, primitive, rank_of
 from .monoids import MAX_DIVISOR_TUPLES, SharpMonoid, check_r, divisors
 
 
-def _lazy_import(name: str):
-    """The module `name`, executed on its first attribute access; the module
-    itself when it is already imported."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+def _lazy_import(spec):
+    """The module of `spec`, executed on its first attribute access; the
+    module itself when it is already imported."""
+    if spec.name in sys.modules:
+        return sys.modules[spec.name]
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-# only the ideal layer uses numpy, and most CLI requests build no ideal
-np = _lazy_import("numpy")
+# only the ideal layer uses numpy, and most CLI requests build no ideal; the
+# package looked its spec up once, at import
+np = _lazy_import(_numpy_spec)
 
 _NP_THRESHOLD = 512
 _VALUE_LIMIT = 1 << 62

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import os
@@ -528,8 +529,50 @@ def run_fresh(argvs, report, numpy_first=False):
     return rep["codes"], rep["numpy"], proc.stdout
 
 
+# -S keeps site hooks (.pth files may import tempfile) from preloading what a
+# verb loads; numpy's directory then goes on the path by hand
+BOUNDARY_PATH = os.pathsep.join(
+    [SRC, os.path.dirname(importlib.util.find_spec("numpy").submodule_search_locations[0])]
+)
+BOUNDARY_PROBE = """
+import json, os, sys
+before = set(sys.modules)
+if sys.argv[3:] == ["eager"]:
+    import richfan.catalog, richfan.drawing, richfan.subdivision
+from richfan.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    codes.append(main(argv))
+    sys.stdout.flush()
+    os.write(1, b"\\0")
+loaded = sorted(m for m in set(sys.modules) - before if m.startswith("richfan") or m == "tempfile")
+with open(sys.argv[2], "w") as fh:
+    json.dump({"codes": codes, "loaded": loaded}, fh)
+"""
+GRAPH_MODULES = {"richfan", "richfan.cli", "richfan.errors", "richfan.graphs"}
+
+
+def run_boundary(argvs, report, eager=False):
+    """Run main on each argv in one new interpreter, which imports every
+    richfan module first when eager is set; the exit codes, the richfan
+    modules and tempfile when it loaded them, and each argv's stdout bytes."""
+    env = dict(os.environ, PYTHONPATH=BOUNDARY_PATH)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", BOUNDARY_PROBE, json.dumps(argvs), report]
+        + (["eager"] if eager else []),
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(report) as fh:
+        rep = json.load(fh)
+    return rep["codes"], set(rep["loaded"]), proc.stdout.split(b"\0")[:-1]
+
+
 class TestImportBoundary:
-    """Only building an ideal loads numpy."""
+    """Only building an ideal loads numpy, and each verb loads only the
+    richfan modules it runs, with the same output as eager imports."""
 
     def test_graph_fan_and_curve_verbs_load_no_numpy(
         self, triangle_path, nested_path, tmp_path
@@ -567,3 +610,79 @@ class TestImportBoundary:
             [sys.executable, "-S", "-c", probe, SRC], capture_output=True, text=True, timeout=60
         )
         assert proc.stdout == "numpy\n", proc.stderr
+
+    def test_numpy_is_looked_up_once(self, triangle_path):
+        probe = (
+            "import importlib.util, sys\n"
+            "find_spec, names = importlib.util.find_spec, []\n"
+            "def counted(name, *a):\n"
+            "    names.append(name)\n"
+            "    return find_spec(name, *a)\n"
+            "importlib.util.find_spec = counted\n"
+            "from richfan.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, names.count('numpy'), file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "ideal", "--r", "1", triangle_path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.stderr == "0 1\n"
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("verbs")
+        argvs = {}
+        for verb, (doc, extra) in FUZZ_SEEDS.items():
+            path = tmp / f"{verb}.json"
+            path.write_text(json.dumps(doc))
+            args = extra + (["--r", "2"] if verb in _NEEDS_R else [])
+            argvs[verb] = [verb, str(path), *args]
+        lazy = {v: run_boundary([a], str(tmp / "report.json")) for v, a in argvs.items()}
+        eager = run_boundary(list(argvs.values()), str(tmp / "report.json"), eager=True)
+        return argvs, lazy, eager
+
+    def test_graph_verbs_load_graphs_and_errors(self, runs):
+        _, lazy, _ = runs
+        for verb in ("cuts", "blocks", "contract"):
+            assert lazy[verb][1] == GRAPH_MODULES, verb
+
+    def test_fan_verbs_load_no_graph_curve_or_ideal_modules(self, runs):
+        _, lazy, _ = runs
+        for verb in ("verify-fan", "cross-section"):
+            assert "richfan.cones" in lazy[verb][1]
+            for mod in ("graphs", "curves", "monoids", "subdivision"):
+                assert f"richfan.{mod}" not in lazy[verb][1], (verb, mod)
+        assert "richfan.drawing" not in lazy["verify-fan"][1]
+
+    def test_curve_verbs_load_no_subdivision_or_drawing(self, runs):
+        _, lazy, _ = runs
+        for verb in ("check-rich", "check-weakly-rich", "basic-model"):
+            assert "richfan.curves" in lazy[verb][1]
+            assert not lazy[verb][1] & {"richfan.subdivision", "richfan.drawing"}, verb
+
+    def test_only_ideal_and_fan_building_verbs_load_subdivision(self, runs):
+        _, lazy, _ = runs
+        builds = {v for v in lazy if "richfan.subdivision" in lazy[v][1]}
+        assert builds == {"ideal", "subdivide", "smoothness", "factors"}
+        assert "richfan.drawing" not in lazy["subdivide"][1]
+
+    def test_tempfile_only_with_out(self, runs, tmp_path):
+        _, lazy, _ = runs
+        assert not any("tempfile" in modules for _, modules, _ in lazy.values())
+        out = str(tmp_path / "cuts.json")
+        argv = ["cuts", write(tmp_path, "triangle.json", TRIANGLE), "--out", out]
+        codes, modules, _ = run_boundary([argv], str(tmp_path / "report.json"))
+        assert codes == [0] and "tempfile" in modules
+        assert json.loads(open(out).read()) == {"cuts": [[0, 1], [0, 2], [1, 2]]}
+
+    def test_same_exit_codes_and_stdout_as_eager_imports(self, runs):
+        argvs, lazy, (eager_codes, eager_modules, eager_outs) = runs
+        assert len({m for m in eager_modules if m.startswith("richfan")}) == 11
+        assert eager_codes == [lazy[v][0][0] for v in argvs]
+        assert eager_outs == [lazy[v][2][0] for v in argvs]
+        assert all(lazy[v][0] == [0] for v in ("cuts", "ideal", "subdivide", "cross-section"))
