@@ -145,7 +145,7 @@ def _run_verify_fan(args) -> int:
 
     fan = Fan.from_obj(_load(args.input))
     complete = fan.is_complete_on_orthant()
-    valid = complete or fan.is_valid()
+    valid = fan.is_valid()
     _emit(_canonical({"complete_on_orthant": complete, "valid": valid}), args.out)
     return _bool_exit(valid and complete)
 
@@ -163,12 +163,33 @@ def _run_smoothness(args) -> int:
 
 
 def _run_factors(args) -> int:
-    from .curves import RealFamily
-    from .subdivision import factors_through, weakly_rich_fan
+    """Whether the image of sigma lies in one chamber of weakly_rich_fan(g,
+    r), decided as family_is_weakly_r_rich(fam, r), without the fan.
+
+    A wall w = (cut c, lam / gcd lam) has a universal minimizer h on the
+    image when lam_h x_h <= lam_e x_e for every e in c and x in the image.
+    family_is_weakly_r_rich asks for one for every cut and divisor tuple
+    lam, and lam and lam / gcd lam have the same minimizers.
+
+    If the image lies in a chamber, the chamber's argmin on each wall is a
+    universal minimizer.
+
+    Conversely, let h_w be a universal minimizer of each wall w.  The image
+    lies in C = {x >= 0 : lam_{h_w} x_{h_w} <= lam_e x_e for all w, e}.
+    Take q in the relative interior of C.  A linear form that is >= 0 on C
+    and 0 at q is 0 on all of C, so a tie that holds at q holds on C.  With
+    the walk's start point p > 0, which lies on no wall, q + eps p for small
+    eps > 0 is > 0 and has one strict argmin g_w on each wall: among the
+    edges tied with h_w at q, the one with least lam_e p_e.  So it lies in
+    the interior of the cone D of the pattern (g_w), and D is a chamber of
+    the fan, since the walk reaches every chamber.  Each x in C is >= 0 and
+    satisfies lam_{g_w} x_{g_w} = lam_{h_w} x_{h_w} <= lam_e x_e, as g_w
+    ties with h_w on C; so C, and with it the image, lies in D.
+    """
+    from .curves import RealFamily, family_is_weakly_r_rich
 
     fam = RealFamily.from_obj(_load(args.input))
-    fan = weakly_rich_fan(fam.graph, _parse_r(args.r))
-    return _bool_exit(factors_through(fam, fan))
+    return _bool_exit(family_is_weakly_r_rich(fam, _parse_r(args.r)))
 
 
 def _run_cross_section(args) -> int:

@@ -57,21 +57,30 @@ class TropicalCurve:
         return [self.length(e) for e in cut]
 
     def is_r_rich(self, r) -> bool:
-        """Every cut's lengths are r-close.
+        """Every cut's lengths are r-close, decided on the circuit blocks:
+        the curve is r-rich exactly when every block's lengths are r-close.
 
-        Also evaluated through circuit blocks (per-block closeness); the two
-        routes agree by the closure lemma for 2-element subsets of a block,
-        and the agreement is asserted on every call.
+        - Every bond lies inside one block: the cycle matroid of the graph is
+          the direct sum of its blocks' matroids, so each bond (a cocircuit)
+          is a cocircuit of one block.
+        - Any two edges of a block share a bond: a 2-connected graph's
+          cycle matroid is connected, so is its dual, whose circuits are the
+          bonds.  Loop and bridge blocks are single edges.
+        - A set of nonzero lengths is r-close exactly when each pair in it
+          is (is_r_close).  Both need one common primitive direction p;
+          write a_i = m_i p.  The set condition m_i / gcd m | r says, for
+          each prime l, that v_l(m_i) - min_j v_l(m_j) <= v_l(r), and the
+          left side is the largest of the pair differences
+          v_l(m_i) - v_l(m_j).  At r = infinity only p counts.
+
+        So the set of a block is r-close when its pairs are, each pair lying
+        in a bond; and a bond is r-close when its block is, its pairs being
+        pairs of the block.
         """
         check_r(r)
-        by_cuts = all(
-            self.monoid.is_r_close(self._cut_lengths(c), r) for c in self.graph.cuts()
-        )
-        by_blocks = all(
+        return all(
             self.monoid.is_r_close(self._cut_lengths(b), r) for b in self.graph.blocks()
         )
-        assert by_cuts == by_blocks, "cut and block routes must agree"
-        return by_cuts
 
     def is_weakly_r_rich(self, r: int) -> bool:
         check_r(r, allow_inf=False)
@@ -386,13 +395,15 @@ def family_is_weakly_r_rich(fam: RealFamily, r: int) -> bool:
     """For every cut and divisor tuple, some edge is universally smallest.
 
     Universal pointwise minimality on the cone is exactly dual-cone
-    membership of the rescaled row differences (tuple_minima_exist).
+    membership of the rescaled row differences (tuple_minima_exist).  The
+    largest cut goes first, so a cut over the divisor-tuple cap raises
+    before any tuple is tested.
     """
     check_r(r, allow_inf=False)
     contains = fam.cone.dual().contains
     return all(
         tuple_minima_exist(contains, [fam.row(e) for e in cut], r)
-        for cut in fam.graph.cuts()
+        for cut in sorted(fam.graph.cuts(), key=len, reverse=True)
     )
 
 

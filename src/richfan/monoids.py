@@ -58,7 +58,7 @@ def tuple_minima_exist(contains: Callable[[Vec], bool], vecs: Sequence[Vec], r: 
     """
     divs = divisors(r)
     if len(divs) ** len(vecs) > MAX_DIVISOR_TUPLES:
-        raise ValueError("too many divisor tuples to enumerate")
+        raise ValueError(f"too many divisor tuples to enumerate: {len(divs)}^{len(vecs)} for r={r}")
     for lam in product(divs, repeat=len(vecs)):
         scaled = [tuple(l * t for t in v) for l, v in zip(lam, vecs)]
         if not any(all(contains(vsub(y, x)) for y in scaled) for x in scaled):

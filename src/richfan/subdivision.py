@@ -1003,7 +1003,11 @@ def smoothness_report(fan: Fan) -> SmoothnessReport:
 
 
 def factors_through(fam: RealFamily, fan: Fan) -> bool:
-    """Does the family's length map send its cone into one maximal cone?"""
+    """Does the family's length map send its cone into one maximal cone?
+
+    On fan = weakly_rich_fan(g, r) this is family_is_weakly_r_rich(fam, r),
+    which the factors verb runs without the fan (proof at cli._run_factors).
+    """
     if fan.rank != len(fam.graph.edges):
         raise DimensionMismatch("fan rank must match the family's edge count")
     image = fam.image_cone()

@@ -126,6 +126,27 @@ class TestExitCodes:
         assert out == ""
         assert err == '{"error":"ValueError","message":"cut sizes [3] too large for r=720720"}\n'
 
+    def test_factors_checks_every_cut_before_the_first(self, tmp_path, capsys):
+        # the 2-edge cut comes first and has no universal minimum, yet the
+        # 240^3 divisor tuples of the 3-edge cut at r=720720 are refused
+        # before it is tested
+        doc = {
+            "vertices": [0, 1, 2],
+            "edges": [{"id": i, "ends": [0, 1] if i < 2 else [1, 2]} for i in range(5)],
+            "sigma_rays": [[1, 0], [0, 1]],
+            "length_map": [[1, 0], [0, 1], [1, 1], [1, 1], [1, 1]],
+        }
+        p = write(tmp_path, "pair_theta.json", doc)
+        assert main(["factors", p, "--r", "1"]) == 3
+        capsys.readouterr()
+        assert main(["factors", p, "--r", "720720"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            '{"error":"ValueError","message":"too many divisor tuples to enumerate:'
+            ' 240^3 for r=720720"}\n'
+        )
+
     @pytest.mark.parametrize("verb", ["subdivide", "smoothness"])
     def test_wall_limit_fails_fast(self, tmp_path, capsys, verb):
         # 30 divisors of 720 on the theta graph's 3-edge cut: 27,000 tuples,
@@ -198,6 +219,50 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == '{"error":"ValueError","message":"too many vertices for cut enumeration"}\n'
+
+    def test_factors_builds_no_fan(self, tmp_path, capsys):
+        # the orthant family of the 6-cycle lies in no chamber; the walk of
+        # its 95,040 chambers at r=2 took seconds
+        n = 6
+        fam = {
+            "vertices": list(range(n)),
+            "edges": [{"id": i, "ends": [i, (i + 1) % n]} for i in range(n)],
+            "sigma_rays": [[int(i == j) for j in range(n)] for i in range(n)],
+            "length_map": [[int(i == j) for j in range(n)] for i in range(n)],
+        }
+        p = write(tmp_path, "cycle6.json", fam)
+        t0 = time.process_time()
+        assert main(["factors", p, "--r", "2"]) == 3
+        assert time.process_time() - t0 < 1
+        assert capsys.readouterr() == ("", "")
+
+    def test_factors_past_the_wall_limit(self, tmp_path, capsys):
+        # 60 divisors of 5040 give the theta graph 56,791 walls, above
+        # MAX_WALLS; a one-parameter family is weakly rich at every r
+        theta = {"vertices": [0, 1], "edges": [{"id": i, "ends": [0, 1]} for i in range(3)]}
+        p = write(tmp_path, "theta.json", {**theta, "sigma_rays": [[1]], "length_map": [[1], [2], [3]]})
+        assert main(["factors", p, "--r", "5040"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("r, code", [("1", 3), ("2", 0), ("inf", 0)])
+    def test_curve_verbs_past_the_cut_vertex_limit(self, tmp_path, capsys, r, code):
+        # richness reads the one circuit block of the 30-cycle, no bonds
+        n = 30
+        cycle = {
+            "vertices": list(range(n)),
+            "edges": [{"id": i, "ends": [i, (i + 1) % n]} for i in range(n)],
+            "monoid": {"rank": 1, "rays": [[1]]},
+            "lengths": {str(i): [1 + i % 2] for i in range(n)},
+        }
+        assert n > MAX_CUT_VERTICES
+        p = write(tmp_path, "cycle30.json", cycle)
+        assert main(["check-rich", p, "--r", r]) == code
+        assert capsys.readouterr() == ("", "")
+        if code == 0:
+            assert main(["basic-model", p, "--r", r]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["components"] == [list(range(n))]
+            assert out["multipliers"] == {str(i): 1 + i % 2 for i in range(n)}
 
     def test_product_limit_fails_fast(self, tmp_path, capsys):
         # K4 at r=2: the third cut multiplies 63,371 generators by the
@@ -668,7 +733,7 @@ class TestImportBoundary:
     def test_only_ideal_and_fan_building_verbs_load_subdivision(self, runs):
         _, lazy, _ = runs
         builds = {v for v in lazy if "richfan.subdivision" in lazy[v][1]}
-        assert builds == {"ideal", "subdivide", "smoothness", "factors"}
+        assert builds == {"ideal", "subdivide", "smoothness"}
         assert "richfan.drawing" not in lazy["subdivide"][1]
 
     def test_tempfile_only_with_out(self, runs, tmp_path):

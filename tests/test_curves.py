@@ -12,12 +12,18 @@ from richfan import (
     TropicalCurve,
     family_is_weakly_r_rich,
 )
+from richfan.catalog import small_connected_graphs
 from richfan.curves import PLFunction
 from richfan.errors import NotAFace, NotRClose, NotRRich, SchemaError
 
 
 def curve(g: Graph, rank: int, lengths: dict) -> TropicalCurve:
     return TropicalCurve.build(g, SharpMonoid.orthant(rank), lengths)
+
+
+def rich_by_cuts(c: TropicalCurve, r) -> bool:
+    """The definition: the lengths of every bond are r-close."""
+    return all(c.monoid.is_r_close([c.length(e) for e in cut], r) for cut in c.graph.cuts())
 
 
 class TestRich:
@@ -75,6 +81,35 @@ class TestRich:
                     assert c.is_r_rich(rp)
                 if c.is_weakly_r_rich(rp):
                     assert c.is_weakly_r_rich(r)
+
+    def test_blocks_match_bonds_census(self):
+        # is_r_rich reads the circuit blocks; the bond route is its oracle.
+        # Lengths are multiples of a few directions, so that many sets share
+        # a ray and r decides; (1, 1) is not a ray of the non-free monoids
+        rng = random.Random(17)
+        monoids = [
+            (SharpMonoid.orthant(1), [(1,)], True),
+            (SharpMonoid.orthant(2), [(1, 0), (0, 1), (1, 1)], True),
+            (SharpMonoid.from_rays(2, [(1, 0), (1, 2)]), [(1, 0), (1, 2), (1, 1)], False),
+            (SharpMonoid.from_rays(2, [(1, 0), (1, 3)]), [(1, 0), (1, 3), (1, 1), (2, 3)], False),
+        ]
+        answers = {True: 0, False: 0}
+        for g in small_connected_graphs(5, min_edges=1):
+            for m, directions, free in monoids:
+                assert m.is_free() == free
+                for _ in range(2):
+                    d = rng.choice(directions)
+                    lens = {}
+                    for e in g.edge_ids:
+                        d = d if rng.random() < 0.7 else rng.choice(directions)
+                        k = rng.randint(1, 6)
+                        lens[e] = tuple(k * t for t in d)
+                    c = TropicalCurve.build(g, m, lens)
+                    for r in (1, 2, 3, 6, INF):
+                        rich = c.is_r_rich(r)
+                        assert rich == rich_by_cuts(c, r), (c.to_obj(), r)
+                        answers[rich] += 1
+        assert min(answers.values()) >= 1000, answers  # 3,342 and 2,338
 
 
 class TestPLWitness:

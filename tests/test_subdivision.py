@@ -15,11 +15,14 @@ from richfan import (
     Fan,
     Graph,
     MonomialIdeal,
+    RealFamily,
     all_choice_functions,
     choice_cone,
     choice_function_fan,
     choice_monoid,
     cut_order_from_choice,
+    factors_through,
+    family_is_weakly_r_rich,
     ideal_product,
     ideal_product_many,
     newton_subdivision,
@@ -769,6 +772,43 @@ class TestChamberWalk:
                     fresh = Cone(c.rank, c.rays, c.lines)
                     assert c.facet_normals == fresh.facet_normals, (g.to_obj(), r, c)
                     assert c.span_equations == fresh.span_equations == ()
+
+
+def random_family(g: Graph, rng: random.Random) -> RealFamily:
+    """A seeded family over g: sigma of rank 0 to 3, possibly with the last
+    coordinate as a line, with up to 4 rays; the rows vanish on the line."""
+    rank = rng.choice((0, 1, 2, 3, 3, 3))
+    lines = [unit(rank, rank - 1)] if rank and rng.random() < 0.3 else []
+    free = rank - len(lines)
+    rays = [
+        tuple(rng.randint(0, 3) for _ in range(free)) + tuple(rng.randint(-2, 2) for _ in lines)
+        for _ in range(rng.randint(0, 4))
+    ]
+    rows = {
+        e: tuple(rng.randint(0, 3) for _ in range(free)) + (0,) * len(lines)
+        for e in g.sorted_edge_ids()
+    }
+    return RealFamily.build(g, Cone.from_rays(rank, [v for v in rays if any(v)], lines), rows)
+
+
+class TestFactors:
+    def test_weakly_rich_exactly_when_factoring_through_the_fan(self):
+        # the fan route, factors_through on the whole walk, is the oracle of
+        # the direct test that the factors verb runs
+        rng = random.Random(13)
+        answers = {True: 0, False: 0}
+        shapes = set()
+        for r in (1, 2, 3, 4, 6):
+            for g in small_connected_graphs(4):
+                fan = weakly_rich_fan(g, r)
+                for _ in range(6):
+                    fam = random_family(g, rng)
+                    direct = family_is_weakly_r_rich(fam, r)
+                    assert factors_through(fam, fan) == direct, (fam.to_obj(), r)
+                    answers[direct] += 1
+                    shapes.add((fam.cone.rank, bool(fam.cone.lines)))
+        assert answers[False] >= 100 and answers[True] >= 100, answers  # 129 and 1,311
+        assert {(0, False), (3, True), (3, False)} <= shapes
 
 
 class TestChoiceFunctions:
