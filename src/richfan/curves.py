@@ -257,7 +257,11 @@ class TropicalCurve:
             try:
                 eid = int(k)
             except ValueError:
-                raise SchemaError(f"length key {k!r} is not an edge id") from None
+                eid = None
+            # only the canonical spelling: int() also reads "01" as 1, and a
+            # second key for one edge would overwrite the first
+            if eid is None or k != str(eid):
+                raise SchemaError(f"length key {k!r} is not an edge id")
             if not is_int_vector(v):
                 raise SchemaError("each length must be an integer vector")
             lengths[eid] = tuple(v)

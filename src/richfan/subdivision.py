@@ -505,13 +505,9 @@ def _cut_template_rows(size: int, r: int) -> "np.ndarray":
     divisor tuples of r), as a lex-sorted, read-only int64 array.
 
     Depends on the cut only through its size, up to coordinate permutation,
-    so templates are shared across cuts and graphs.
+    so templates are shared across cuts and graphs.  Callers check the size
+    with _cut_divisors first.
     """
-    divs = divisors(r)
-    if len(divs) ** size > MAX_DIVISOR_TUPLES:
-        raise ValueError(
-            f"cut of size {size} needs {len(divs) ** size} divisor tuples for r={r}"
-        )
     full = _expand_rows(_cut_template_reps(size, r), (tuple(range(size)),))
     full.flags.writeable = False
     return full
@@ -712,53 +708,6 @@ def _closure_of_choice(n_edges: int, pairs: Iterable[tuple[int, int]]) -> tuple[
     return tuple(rows)
 
 
-def _irredundant(n: int, normals: Iterable[tuple[Vec, int, int]]) -> list[Vec]:
-    """Of the inequalities x_e >= w x_h of a full-dimensional chamber, given
-    as (f, h, e) with w = -f[h] / f[e], those the others do not imply.
-
-    Per pair (h, e) only the largest w is kept: with x_h >= 0 it implies the
-    others.  Let C(h, e) be the largest product of ratios along a path from
-    h to e (Floyd-Warshall, exact).  In a full-dimensional chamber every
-    cycle has product < 1, so best paths are simple.  (h, e) is dropped when
-    C(h, k) C(k, e) >= w for some third k.  By induction on the most edges
-    of a best path from h to e, the kept inequalities still reach C(h, e):
-    a best path of one edge is kept, since a best path through k would have
-    more edges, and a longer one splits at an inner vertex into best paths
-    with fewer.  So with x >= 0 the kept ones imply the dropped ones.
-    """
-    strongest: dict[tuple[int, int], Vec] = {}
-    for f, h, e in normals:
-        old = strongest.get((h, e))
-        if old is None or f[h] * old[e] < old[h] * f[e]:
-            strongest[(h, e)] = f
-    # the diagonal stays None, so k below is always a third vertex
-    best: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n)]
-    for (h, e), f in strongest.items():
-        best[h][e] = (-f[h], f[e])
-    for k in range(n):
-        for h in range(n):
-            a = best[h][k]
-            if a is None:
-                continue
-            for e in range(n):
-                b = best[k][e]
-                if b is None or e == h:
-                    continue
-                num, den = a[0] * b[0], a[1] * b[1]
-                cur = best[h][e]
-                if cur is None or num * cur[1] > cur[0] * den:
-                    best[h][e] = (num, den)
-
-    def implied(h: int, e: int, f: Vec) -> bool:
-        for k in range(n):
-            a, b = best[h][k], best[k][e]
-            if a and b and a[0] * b[0] * f[e] >= -f[h] * a[1] * b[1]:
-                return True
-        return False
-
-    return [f for (h, e), f in strongest.items() if not implied(h, e, f)]
-
-
 def choice_function_fan(g: Graph) -> Fan:
     """The r = 1 weakly rich fan: its cones are the full-dimensional choice
     cones, since at r = 1 an argmin pattern is a choice function."""
@@ -808,8 +757,14 @@ def _arrangement(g: Graph, r: int):
     units = [unit(n, j) for j in range(n)]
 
     def chamber(pattern: tuple[int, ...]) -> Cone:
-        normals = dict.fromkeys(c for w, j in enumerate(pattern) for c in cells[w][j])
-        return Cone.from_inequalities(n, units + _irredundant(n, normals))
+        # per (h, e) the largest c in x_e >= c x_h implies the rest, as x_h >= 0
+        strongest: dict[tuple[int, int], Vec] = {}
+        for w, j in enumerate(pattern):
+            for f, h, e in cells[w][j]:
+                old = strongest.get((h, e))
+                if old is None or f[h] * old[e] < old[h] * f[e]:
+                    strongest[h, e] = f
+        return Cone.from_inequalities(n, units + list(strongest.values()))
 
     def neighbours(pattern: tuple[int, ...], cone: Cone) -> Iterator[tuple[int, ...]]:
         for f in cone.facet_normals:
@@ -873,7 +828,7 @@ def weakly_rich_fan(g: Graph, r: int) -> Fan:
     one edge h attains min over e in c of lam_e x_e, and tuples equal up to
     scaling have the same cells.  A maximal cone is therefore a chamber: the
     set where every wall (c, lam / gcd(lam)) has one fixed argmin h, cut out
-    by lam_e x_e - lam_h x_h >= 0 and x >= 0, less what _irredundant drops.
+    by lam_e x_e - lam_h x_h >= 0 and x >= 0.
 
     The walk is breadth first over argmin patterns.  It starts at the
     pattern of p = (1, t, ..., t^(n-1)) with t = r + 1, which lies on no

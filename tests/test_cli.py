@@ -126,6 +126,34 @@ class TestExitCodes:
         assert out == ""
         assert err == '{"error":"ValueError","message":"cut sizes [3] too large for r=720720"}\n'
 
+    @pytest.mark.parametrize(
+        "ids, lengths, key",
+        [
+            ((1, 2), {"1": [1], "01": [5], "2": [1]}, "01"),
+            ((1, 2), {"2": [1], "01": [5], "1": [1]}, "01"),
+            ((10, 2), {"1_0": [1], "2": [1]}, "1_0"),
+            ((1, 2), {"+1": [1], "2": [1]}, "+1"),
+            ((1, 2), {"1": [1], " 2 ": [1]}, " 2 "),
+        ],
+    )
+    def test_length_keys_are_canonical_edge_ids(self, tmp_path, capsys, ids, lengths, key):
+        # int() also reads "01" as edge 1, so a second key for one edge would
+        # overwrite the first and the verdict would hang on the key order
+        doc = {
+            "vertices": [0, 1],
+            "edges": [{"id": i, "ends": [0, 1]} for i in ids],
+            "monoid": {"rank": 1, "rays": [[1]]},
+            "lengths": lengths,
+        }
+        assert main(["check-rich", "--r", "1", write(tmp_path, "banana.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "SchemaError",
+            "message": f"length key {key!r} is not an edge id",
+        }
+
     def test_factors_checks_every_cut_before_the_first(self, tmp_path, capsys):
         # the 2-edge cut comes first and has no universal minimum, yet the
         # 240^3 divisor tuples of the 3-edge cut at r=720720 are refused
@@ -633,6 +661,32 @@ def run_boundary(argvs, report, eager=False):
     with open(report) as fh:
         rep = json.load(fh)
     return rep["codes"], set(rep["loaded"]), proc.stdout.split(b"\0")[:-1]
+
+
+class TestModuleEntry:
+    def test_python_m_runs_main(self, triangle_path, tmp_path, capsys):
+        # python -m richfan.cli VERB ... answers like the console script
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "richfan.cli", *argv],
+                env=env,
+                capture_output=True,
+                timeout=60,
+            )
+
+        proc = run("cuts", str(bad))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.count(b"\n") == 1
+        assert json.loads(proc.stderr)["error"] == "JSONDecodeError"
+        proc = run("cuts", triangle_path)
+        assert main(["cuts", triangle_path]) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, capsys.readouterr().out.encode(), b""
+        )
 
 
 class TestImportBoundary:

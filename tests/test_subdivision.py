@@ -158,6 +158,11 @@ def cycle(n: int) -> Graph:
     return Graph.build(range(n), [(i, i, (i + 1) % n) for i in range(n)])
 
 
+def banana(k: int) -> Graph:
+    """k parallel edges between two vertices; banana(3) is the theta graph."""
+    return Graph.build([0, 1], [(i, 0, 1) for i in range(k)])
+
+
 TRIANGLE_R1 = {
     (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2), (1, 1, 1),
 }
@@ -742,6 +747,47 @@ class TestChamberWalk:
                 assert [(c.rays, c.lines, c.facet_normals) for c in walk.cones] == [
                     (c.rays, c.lines, c.facet_normals) for c in plain.cones
                 ], (h.to_obj(), r)
+
+    @pytest.mark.parametrize(
+        "graphs, r, limit",
+        [
+            *((small_connected_graphs(4), r, math.inf) for r in (2, 3)),
+            ([cycle(4)], 2, math.inf),
+            ([cycle(4)], 4, math.inf),
+            ([banana(3)], 6, math.inf),
+            ([banana(3)], 12, math.inf),
+            ([banana(2)], 12, math.inf),
+            ([cycle(5)], 2, 300),
+        ],
+        ids=["census4-r2", "census4-r3", "4-cycle-r2", "4-cycle-r4", "theta-r6", "theta-r12",
+             "2-gon-r12", "5-cycle-r2-prefix"],
+    )
+    def test_chamber_matches_every_wall_inequality(self, graphs, r, limit):
+        # chamber keeps one inequality per pair (h, e); its cone must be the
+        # one cut out by all of the pattern's, rebuilt here from the walls
+        for g in graphs:
+            n, walls, start, chamber, neighbours = _arrangement(g, r)
+            units = [unit(n, j) for j in range(n)]
+            seen, todo, checked = {start}, deque([start]), 0
+            while todo and checked < limit:
+                pattern = todo.popleft()
+                cone = chamber(pattern)
+                ineqs = set()
+                for (ps, lam), j in zip(walls, pattern):
+                    for k in range(len(ps)):
+                        if k != j:
+                            v = [0] * n
+                            v[ps[k]], v[ps[j]] = lam[k], -lam[j]
+                            ineqs.add(tuple(v))
+                exact = Cone.from_inequalities(n, units + sorted(ineqs))
+                assert (cone.rays, cone.lines, cone.facet_normals) == (
+                    exact.rays, exact.lines, exact.facet_normals
+                ), (g.to_obj(), r, pattern)
+                checked += 1
+                for nxt in neighbours(pattern, cone):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
 
     def test_one_double_description_per_orbit(self, monkeypatch):
         # S_5 permutes the 5,040 chambers of the 5-cycle at r=2 in 42 orbits,
