@@ -264,19 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SCHEMA if e.code not in (0,) else 0
     try:
         return _HANDLERS[args.verb](args)
-    except DomainError as e:
-        sys.stderr.write(
-            _canonical({"error": type(e).__name__, "message": str(e)})
-        )
-        return EXIT_DOMAIN
-    except SchemaError as e:
-        sys.stderr.write(_canonical({"error": "SchemaError", "message": str(e)}))
-        return EXIT_SCHEMA
-    except (json.JSONDecodeError, OSError, ValueError, OverflowError) as e:
-        sys.stderr.write(
-            _canonical({"error": type(e).__name__, "message": str(e)})
-        )
-        return EXIT_SCHEMA
+    except (DomainError, SchemaError, OSError, ValueError, OverflowError) as e:
+        sys.stderr.write(_canonical({"error": type(e).__name__, "message": str(e)}))
+        return EXIT_DOMAIN if isinstance(e, DomainError) else EXIT_SCHEMA
 
 
 def entry() -> None:

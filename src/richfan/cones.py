@@ -9,7 +9,6 @@ Hilbert bases are all exact; no floats anywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -137,21 +136,18 @@ def double_description(
 def _reduce_mod_lines(v: Sequence[int], lines_hnf: Sequence[Vec]) -> Vec:
     """Canonical primitive representative of the ray class of v mod the lines.
 
-    Pivot coordinates of the lineality basis are cleared over Q, then the
-    result is scaled back to a primitive integer vector.  Positive scaling
-    only, so the ray's direction is preserved.
+    Each pivot coordinate of the lineality basis is cleared in integers,
+    x <- row[c] x - x[c] row.  A Hermite pivot row[c] is positive, so x is only
+    ever scaled by positive factors and the ray's direction is preserved.
     """
-    if not lines_hnf:
-        return primitive(v)
-    x = [Fraction(t) for t in v]
+    x = tuple(v)
     for row in lines_hnf:
         c = next(i for i, t in enumerate(row) if t != 0)
         if x[c]:
-            f = x[c] / row[c]
-            x = [xi - f * li for xi, li in zip(x, row)]
+            p, xc = row[c], x[c]
+            x = tuple(p * xi - xc * li for xi, li in zip(x, row))
     assert any(x), "ray vanished into the lineality space"
-    den = math.lcm(*(xi.denominator for xi in x))
-    return primitive(tuple(int(xi * den) for xi in x))
+    return primitive(x)
 
 
 class Cone:

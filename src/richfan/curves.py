@@ -5,8 +5,7 @@ the basic (minimal) model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cones import Cone, _is_face_of
 from .errors import (
@@ -24,8 +23,7 @@ from .intlinalg import Vec, dot, hnf_rows, integer_kernel, is_zero, vsub
 from .monoids import SharpMonoid, check_r, tuple_minima_exist
 
 
-@dataclass(frozen=True)
-class TropicalCurve:
+class TropicalCurve(NamedTuple):
     """A connected multigraph with edge lengths in a sharp monoid."""
 
     graph: Graph
@@ -83,11 +81,10 @@ class TropicalCurve:
         )
 
     def is_weakly_r_rich(self, r: int) -> bool:
-        check_r(r, allow_inf=False)
-        return all(
-            self.monoid.is_weakly_r_close(self._cut_lengths(c), r)
-            for c in self.graph.cuts()
-        )
+        """Every cut's lengths are weakly r-close in the monoid: this is
+        family_is_weakly_r_rich of the evaluation family, whose cone's dual is
+        the monoid's cone, so the factors verb takes the same route."""
+        return family_is_weakly_r_rich(self.to_real_family(), r)
 
     def pl_witness(self, cut: Sequence[int], r: int) -> "PLFunction":
         """A PL function certifying r-closeness of one cut.
@@ -279,8 +276,7 @@ class TropicalCurve:
         return TropicalCurve.build(graph, monoid, lengths)
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(NamedTuple):
     """Integer-vector vertex values with one slope per canonically oriented
     edge (smaller endpoint to larger)."""
 
@@ -307,8 +303,7 @@ class PLFunction:
         raise ShapeMismatch(f"no slope on edge {e}")
 
 
-@dataclass(frozen=True)
-class RealFamily:
+class RealFamily(NamedTuple):
     """A family of real tropical curves: a parameter cone and a linear map
     sending it into the orthant of edge lengths."""
 
@@ -399,20 +394,21 @@ def family_is_weakly_r_rich(fam: RealFamily, r: int) -> bool:
     """For every cut and divisor tuple, some edge is universally smallest.
 
     Universal pointwise minimality on the cone is exactly dual-cone
-    membership of the rescaled row differences (tuple_minima_exist).  The
-    largest cut goes first, so a cut over the divisor-tuple cap raises
-    before any tuple is tested.
+    membership of the rescaled row differences (tuple_minima_exist).  Each
+    cut is tested on its distinct rows: a row is >= 0 on the cone, so scaled
+    copies of one row are comparable, and only the smallest copy can matter.
+    The cut with the most distinct rows goes first, so a cut over the
+    divisor-tuple cap raises before any tuple is tested.
     """
     check_r(r, allow_inf=False)
     contains = fam.cone.dual().contains
+    rows = [sorted({fam.row(e) for e in cut}) for cut in fam.graph.cuts()]
     return all(
-        tuple_minima_exist(contains, [fam.row(e) for e in cut], r)
-        for cut in sorted(fam.graph.cuts(), key=len, reverse=True)
+        tuple_minima_exist(contains, vecs, r) for vecs in sorted(rows, key=len, reverse=True)
     )
 
 
-@dataclass(frozen=True)
-class BasicModel:
+class BasicModel(NamedTuple):
     """Roots and multipliers per circuit block, plus the model over N^T."""
 
     components: tuple[tuple[int, ...], ...]

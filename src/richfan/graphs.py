@@ -6,8 +6,7 @@ edge ends are stored sorted so an edge is (id, u, v) with u <= v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DisconnectedGraph, SchemaError, UnknownEdge, is_int, is_int_vector
 
@@ -30,8 +29,7 @@ def _bits_connected(verts: int, nbr: list[int]) -> bool:
     return seen == verts
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     u: int
     v: int
@@ -44,8 +42,7 @@ class Edge:
         return self.v if w == self.u else self.u
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
 

@@ -13,11 +13,10 @@ import importlib.util
 import math
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import getitem, itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _numpy_spec
 from .cones import Cone, Fan, double_description, is_unimodular, unit
@@ -66,7 +65,6 @@ MAX_CHAMBERS = 100_000  # chambers one walk may build
 _richness_cache: dict[tuple, "MonomialIdeal"] = {}
 
 
-@dataclass(frozen=True, eq=False)
 class MonomialIdeal:
     """A monomial ideal in N^rank, stored by its minimal generators.
 
@@ -80,13 +78,20 @@ class MonomialIdeal:
     ValueError (CLI exit 2).
     """
 
-    rank: int
-    rows: "np.ndarray"
+    __slots__ = ("rank", "rows")
 
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.int64).reshape(len(self.rows), self.rank)
+    def __init__(self, rank: int, rows) -> None:
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), rank)
         rows.flags.writeable = False
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name: str, value) -> None:
+        # cached ideals are shared between callers
+        raise AttributeError(f"cannot assign to MonomialIdeal.{name}")
+
+    def __repr__(self) -> str:
+        return f"MonomialIdeal(rank={self.rank!r}, rows={self.rows!r})"
 
     @property
     def generators(self) -> tuple[Vec, ...]:
@@ -538,7 +543,6 @@ def richness_ideal(g: Graph, r: int) -> MonomialIdeal:
     dominate each other, so Pareto screening on representatives is exact.
     """
     check_r(r, allow_inf=False)
-    g.require_connected()
     coords = g.sorted_edge_ids()
     pos = {e: j for j, e in enumerate(coords)}
     n = len(coords)
@@ -616,8 +620,7 @@ def newton_subdivision(i: MonomialIdeal) -> Fan:
 # -- choice functions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChoiceFunction:
+class ChoiceFunction(NamedTuple):
     """One chosen edge per cut.
 
     choices maps each cut (sorted edge-id tuple) to an edge of that cut.
@@ -727,7 +730,6 @@ def _arrangement(g: Graph, r: int):
     More than MAX_WALLS walls raise ValueError before the first chamber.
     """
     check_r(r, allow_inf=False)
-    g.require_connected()
     pos = {e: j for j, e in enumerate(g.sorted_edge_ids())}
     n = len(pos)
     cuts = g.cuts()
@@ -890,8 +892,7 @@ def weakly_rich_fan(g: Graph, r: int) -> Fan:
 # -- cut orders and choice monoids -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CutOrder:
+class CutOrder(NamedTuple):
     """Per-component minima and the predecessor forest of a minimal order."""
 
     minima: tuple[int, ...]
@@ -944,8 +945,7 @@ def choice_monoid(g: Graph, f: ChoiceFunction) -> SharpMonoid:
 # -- reports ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     """Unimodularity verdicts aligned with the fan's cone order."""
 
     verdicts: tuple[bool, ...]

@@ -162,7 +162,7 @@ class TestExitCodes:
             "vertices": [0, 1, 2],
             "edges": [{"id": i, "ends": [0, 1] if i < 2 else [1, 2]} for i in range(5)],
             "sigma_rays": [[1, 0], [0, 1]],
-            "length_map": [[1, 0], [0, 1], [1, 1], [1, 1], [1, 1]],
+            "length_map": [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1]],
         }
         p = write(tmp_path, "pair_theta.json", doc)
         assert main(["factors", p, "--r", "1"]) == 3
@@ -174,6 +174,38 @@ class TestExitCodes:
             '{"error":"ValueError","message":"too many divisor tuples to enumerate:'
             ' 240^3 for r=720720"}\n'
         )
+
+    @pytest.mark.parametrize(
+        "lengths, code, err",
+        [
+            (
+                [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1]],
+                2,
+                '{"error":"ValueError","message":"too many divisor tuples to enumerate:'
+                ' 240^3 for r=720720"}\n',
+            ),
+            ([[1, 0], [1, 0], [1, 1], [1, 1], [1, 1]], 0, ""),
+        ],
+    )
+    def test_weak_richness_verbs_agree_at_the_tuple_cap(self, tmp_path, capsys, lengths, code, err):
+        # a 2-gon and a theta in series over N^2, as a curve and as its
+        # orthant family: both verbs test each cut on its distinct lengths,
+        # the cut with the most first, so the 3-edge cut over the cap is
+        # refused before the incomparable 2-edge cut is tested, and three
+        # equal lengths make 240 tuples, not 240^3
+        graph = {
+            "vertices": [0, 1, 2],
+            "edges": [{"id": i, "ends": [0, 1] if i < 2 else [1, 2]} for i in range(5)],
+        }
+        curve = dict(
+            graph,
+            monoid={"rank": 2, "rays": [[1, 0], [0, 1]]},
+            lengths={str(i): v for i, v in enumerate(lengths)},
+        )
+        family = dict(graph, sigma_rays=[[1, 0], [0, 1]], length_map=lengths)
+        for verb, doc in (("check-weakly-rich", curve), ("factors", family)):
+            assert main([verb, write(tmp_path, "doc.json", doc), "--r", "720720"]) == code, verb
+            assert capsys.readouterr() == ("", err), verb
 
     @pytest.mark.parametrize("verb", ["subdivide", "smoothness"])
     def test_wall_limit_fails_fast(self, tmp_path, capsys, verb):
@@ -330,6 +362,15 @@ class TestExitCodes:
         assert main(["contract", "--contract", "9", triangle_path]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnknownEdge"
+
+    @pytest.mark.parametrize("verb", ["ideal", "subdivide", "smoothness"])
+    def test_disconnected_graph(self, tmp_path, capsys, verb):
+        p = write(tmp_path, "two.json", {"vertices": [0, 1], "edges": []})
+        assert main([verb, p, "--r", "1"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            '{"error":"DisconnectedGraph","message":"operation needs a connected graph"}\n',
+        )
 
     def test_infinite_r_where_finite_needed(self, triangle_path, capsys):
         assert main(["ideal", "--r", "inf", triangle_path]) == 2
@@ -638,7 +679,8 @@ for argv in json.loads(sys.argv[1]):
     codes.append(main(argv))
     sys.stdout.flush()
     os.write(1, b"\\0")
-loaded = sorted(m for m in set(sys.modules) - before if m.startswith("richfan") or m == "tempfile")
+watched = {"tempfile", "dataclasses", "fractions"}
+loaded = sorted(m for m in set(sys.modules) - before if m.startswith("richfan") or m in watched)
 with open(sys.argv[2], "w") as fh:
     json.dump({"codes": codes, "loaded": loaded}, fh)
 """
@@ -648,7 +690,8 @@ GRAPH_MODULES = {"richfan", "richfan.cli", "richfan.errors", "richfan.graphs"}
 def run_boundary(argvs, report, eager=False):
     """Run main on each argv in one new interpreter, which imports every
     richfan module first when eager is set; the exit codes, the richfan
-    modules and tempfile when it loaded them, and each argv's stdout bytes."""
+    modules and tempfile, dataclasses and fractions when it loaded them, and
+    each argv's stdout bytes."""
     env = dict(os.environ, PYTHONPATH=BOUNDARY_PATH)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", BOUNDARY_PROBE, json.dumps(argvs), report]
@@ -798,6 +841,11 @@ class TestImportBoundary:
         codes, modules, _ = run_boundary([argv], str(tmp_path / "report.json"))
         assert codes == [0] and "tempfile" in modules
         assert json.loads(open(out).read()) == {"cuts": [[0, 1], [0, 2], [1, 2]]}
+
+    def test_no_verb_loads_dataclasses_and_only_cross_section_fractions(self, runs):
+        _, lazy, _ = runs
+        assert not any("dataclasses" in modules for _, modules, _ in lazy.values())
+        assert {v for v in lazy if "fractions" in lazy[v][1]} == {"cross-section"}
 
     def test_same_exit_codes_and_stdout_as_eager_imports(self, runs):
         argvs, lazy, (eager_codes, eager_modules, eager_outs) = runs

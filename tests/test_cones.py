@@ -1,5 +1,6 @@
 """Exact cone arithmetic: double description, duality, Hilbert bases, fans."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,9 +23,9 @@ from richfan import (
 )
 from richfan import cones
 from richfan.catalog import small_connected_graphs
-from richfan.cones import _is_face_of, double_description, unit
+from richfan.cones import _is_face_of, _reduce_mod_lines, double_description, unit
 from richfan.errors import DimensionMismatch
-from richfan.intlinalg import det, dot, hnf_rows, primitive, saturated_span, vscale
+from richfan.intlinalg import det, dot, hnf_rows, primitive, rank_of, saturated_span, vscale
 
 
 def orthant(k: int) -> Cone:
@@ -651,3 +652,29 @@ def test_hnf_rows_is_canonical():
         for r, row in enumerate(h):
             c = next(k for k, x in enumerate(row) if x)
             assert row[c] > 0 and all(0 <= h[q][c] < row[c] for q in range(r))
+
+
+def reduce_mod_lines_over_q(v, lines_hnf):
+    """Clear each pivot of the lineality basis over Q, then scale back to a
+    primitive integer vector."""
+    x = [Fraction(t) for t in v]
+    for row in lines_hnf:
+        c = next(i for i, t in enumerate(row) if t != 0)
+        f = x[c] / row[c]
+        x = [xi - f * li for xi, li in zip(x, row)]
+    den = math.lcm(*(xi.denominator for xi in x))
+    return primitive(tuple(int(xi * den) for xi in x))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_reduce_mod_lines_matches_elimination_over_q(data):
+    """Integer elimination scales by positive Hermite pivots only, so it ends
+    at the same primitive vector as elimination over Q."""
+    k = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(k + 1, 7))
+    vec = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    lines = saturated_span(data.draw(st.lists(vec, min_size=k, max_size=k)))
+    v = data.draw(vec)
+    assume(len(lines) == k and rank_of(lines + [tuple(v)]) > k)
+    assert _reduce_mod_lines(v, lines) == reduce_mod_lines_over_q(v, lines)

@@ -15,6 +15,7 @@ from richfan import (
 from richfan.catalog import small_connected_graphs
 from richfan.curves import PLFunction
 from richfan.errors import NotAFace, NotRClose, NotRRich, SchemaError
+from richfan.monoids import tuple_minima_exist
 
 
 def curve(g: Graph, rank: int, lengths: dict) -> TropicalCurve:
@@ -206,9 +207,14 @@ class TestRealFamily:
                 continue
             c = curve(g, 2, lens)
             for r in (1, 2):
+                # the definition, on every cut's lengths with repeats kept
+                literal = all(
+                    tuple_minima_exist(c.monoid.cone.contains, [c.length(e) for e in cut], r)
+                    for cut in g.cuts()
+                )
                 assert c.is_weakly_r_rich(r) == family_is_weakly_r_rich(
                     c.to_real_family(), r
-                )
+                ) == literal
 
     def test_divisor_tuple_limit_fails_fast(self, theta):
         # 240 divisors of 720720 on the 3-edge cut: 240^3 tuples, above the

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from richfan import Graph
 from richfan.errors import DisconnectedGraph, SchemaError, UnknownEdge
-from richfan.graphs import MAX_CUT_VERTICES
+from richfan.graphs import MAX_CUT_VERTICES, Edge
 
 
 def bond_oracle(g: Graph) -> set[tuple[int, ...]]:
@@ -318,6 +318,15 @@ class TestContract:
         sub = data.draw(st.lists(st.sampled_from(ids), unique=True) if ids else st.just([]))
         h = g.contract(sub)
         h.require_connected()
+
+
+class TestEdge:
+    def test_sorts_by_id_then_ends(self):
+        edges = [Edge(2, 0, 1), Edge(1, 1, 2), Edge(1, 0, 3)]
+        assert sorted(edges) == [Edge(1, 0, 3), Edge(1, 1, 2), Edge(2, 0, 1)]
+
+    def test_repr(self):
+        assert repr(Edge(0, 0, 1)) == "Edge(id=0, u=0, v=1)"
 
 
 class TestSerialization:

@@ -108,3 +108,45 @@ def test_subdivision_imports_curves_cones_graphs_and_monoids():
     )
     loaded = set(json.loads(out))
     assert {f"richfan.{m}" for m in ("curves", "cones", "graphs", "monoids")} <= loaded
+
+
+RECORD_FIELDS = {
+    "Edge": ("id", "u", "v"),
+    "Graph": ("vertices", "edges"),
+    "TropicalCurve": ("graph", "monoid", "lengths"),
+    "PLFunction": ("vertex_values", "slopes"),
+    "RealFamily": ("graph", "cone", "length_map"),
+    "BasicModel": ("components", "multipliers", "roots", "is_basic", "model"),
+    "ChoiceFunction": ("choices",),
+    "CutOrder": ("minima", "pred"),
+    "SmoothnessReport": ("verdicts", "smooth"),
+}
+
+
+def build_records() -> dict:
+    """One record of each kind, from the triangle with lengths 1, 2, 1 in N."""
+    tri = richfan.Graph.build([0, 1, 2], [(0, 0, 1), (1, 1, 2), (2, 2, 0)])
+    curve = richfan.TropicalCurve.build(tri, richfan.SharpMonoid.orthant(1), {0: (1,), 1: (2,), 2: (1,)})
+    choice = richfan.ChoiceFunction.build(tri, {(0, 1): 0, (0, 2): 0, (1, 2): 1})
+    return {
+        "Edge": tri.edges[0],
+        "Graph": tri,
+        "TropicalCurve": curve,
+        "PLFunction": curve.pl_witness((0, 1), 2),
+        "RealFamily": curve.to_real_family(),
+        "BasicModel": curve.basic_model(2),
+        "ChoiceFunction": choice,
+        "CutOrder": richfan.cut_order_from_choice(tri, choice),
+        "SmoothnessReport": richfan.smoothness_report(richfan.weakly_rich_fan(tri, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_records_are_immutable_tuples_of_their_fields(name):
+    a, b = build_records()[name], build_records()[name]
+    assert type(a).__name__ == name and a._fields == RECORD_FIELDS[name]
+    assert a == b and hash(a) == hash(b)
+    # a record iterates and equals the plain tuple of its fields
+    assert a == tuple(getattr(a, f) for f in a._fields) == tuple(a)
+    with pytest.raises(AttributeError):
+        setattr(a, a._fields[0], None)

@@ -470,6 +470,15 @@ class TestRows:
         assert small.flags.writeable
         assert MonomialIdeal(0, ((),)) == MonomialIdeal.unit(0)
 
+    def test_rows_are_read_only(self):
+        i = MonomialIdeal.from_generators(2, [(1, 0), (0, 1)])
+        with pytest.raises(ValueError):
+            i.rows[0, 0] = 5
+        for name in ("rank", "rows"):
+            with pytest.raises(AttributeError):
+                setattr(i, name, getattr(i, name))
+        assert i.generators == ((0, 1), (1, 0))
+
     @pytest.mark.parametrize("big", [1 << 63, 1 << 62])
     def test_exponent_at_limit_from_obj(self, big):
         with pytest.raises(ValueError):
