@@ -9,7 +9,7 @@ to a canonical labeling before deduplication.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from .graphs import Graph
 
@@ -51,12 +51,7 @@ def _canonical(nv: int, edges: tuple[Pair, ...]) -> tuple[Pair, ...]:
     ordered = [classes[c] for c in sorted(classes)]
     best: tuple[Pair, ...] | None = None
     # assign label ranges class by class; permute only within a class
-    base = []
-    offset = 0
-    for cls in ordered:
-        base.append((offset, cls))
-        offset += len(cls)
-    for pick in _perm_product([cls for _, cls in base]):
+    for pick in product(*(permutations(cls) for cls in ordered)):
         lab = [0] * nv
         pos = 0
         for cls_perm in pick:
@@ -70,16 +65,6 @@ def _canonical(nv: int, edges: tuple[Pair, ...]) -> tuple[Pair, ...]:
             best = cand
     assert best is not None
     return best
-
-
-def _perm_product(classes: list[list[int]]):
-    if not classes:
-        yield ()
-        return
-    head, *rest = classes
-    for p in permutations(head):
-        for tail in _perm_product(rest):
-            yield (p,) + tail
 
 
 def _grow(nv: int, edges: tuple[Pair, ...]) -> set[tuple[int, tuple[Pair, ...]]]:

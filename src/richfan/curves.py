@@ -290,18 +290,6 @@ class PLFunction(NamedTuple):
             tuple(sorted((int(e), int(s)) for e, s in slopes.items())),
         )
 
-    def value(self, v: int) -> Vec:
-        for w, x in self.vertex_values:
-            if w == v:
-                return x
-        raise ShapeMismatch(f"no value at vertex {v}")
-
-    def slope(self, e: int) -> int:
-        for f, s in self.slopes:
-            if f == e:
-                return s
-        raise ShapeMismatch(f"no slope on edge {e}")
-
 
 class RealFamily(NamedTuple):
     """A family of real tropical curves: a parameter cone and a linear map

@@ -29,6 +29,15 @@ def _bits_connected(verts: int, nbr: list[int]) -> bool:
     return seen == verts
 
 
+def _find(parent, x):
+    """Class representative of x in the union-find forest parent (a dict or
+    list mapping each element to its parent), halving the path as it goes."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class Edge(NamedTuple):
     id: int
     u: int
@@ -85,20 +94,24 @@ class Graph(NamedTuple):
                 adj[e.v].append(e)
         return adj
 
-    def is_connected(self) -> bool:
+    def _tree(self) -> dict[int, Edge | None]:
+        """Breadth-first spanning tree from the first vertex: each reached
+        vertex maps to the tree edge to its parent, the root to None."""
         if not self.vertices:
-            return False
+            return {}
         adj = self.adjacency()
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
+        up: dict[int, Edge | None] = {self.vertices[0]: None}
+        queue = [self.vertices[0]]
+        for v in queue:
             for e in adj[v]:
                 w = e.other(v)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
+                if w not in up:
+                    up[w] = e
+                    queue.append(w)
+        return up
+
+    def is_connected(self) -> bool:
+        return bool(self.vertices) and len(self._tree()) == len(self.vertices)
 
     def require_connected(self) -> None:
         if not self.is_connected():
@@ -147,55 +160,37 @@ class Graph(NamedTuple):
 
         Bridges come out as singleton blocks as well.  Sorted id tuples,
         sorted overall.
+
+        Take a spanning tree T and union each edge with the symmetric
+        difference of the root paths of its two ends.  For an edge of T that
+        is the edge itself; for an edge e off T it completes e to its
+        fundamental cycle.  A fundamental cycle is a cycle, so it lies in one
+        block, and so does each union class.  Conversely a cycle C is the
+        mod-2 sum of the fundamental cycles of its edges off T, each of which
+        lies in a class K or misses it.  So C cap K is a sum of cycles: an
+        even subgraph inside C, hence empty or all of C.  Every cycle lies in
+        one class, and so does every block, since any two of its edges share a
+        cycle.  A loop is its own fundamental cycle and a bridge is on none,
+        so both stay singletons.
         """
         self.require_connected()
-        out: list[tuple[int, ...]] = [(e.id,) for e in self.edges if e.is_loop]
-        adj = self.adjacency()
-        disc: dict[int, int] = {}
-        low: dict[int, int] = {}
-        time = 0
-        for root in self.vertices:
-            if root in disc:
-                continue
-            disc[root] = low[root] = time
-            time += 1
-            stack: list[tuple[int, int | None, int]] = [(root, None, 0)]
-            estack: list[int] = []
-            while stack:
-                v, pe, idx = stack[-1]
-                advanced = False
-                while idx < len(adj[v]):
-                    e = adj[v][idx]
-                    idx += 1
-                    w = e.other(v)
-                    if e.id == pe:
-                        continue
-                    if w not in disc:
-                        estack.append(e.id)
-                        disc[w] = low[w] = time
-                        time += 1
-                        stack[-1] = (v, pe, idx)
-                        stack.append((w, e.id, 0))
-                        advanced = True
-                        break
-                    if disc[w] < disc[v]:
-                        estack.append(e.id)
-                        low[v] = min(low[v], disc[w])
-                if advanced:
-                    continue
-                stack.pop()
-                if stack:
-                    u, _, _ = stack[-1]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        blk = []
-                        while True:
-                            eid = estack.pop()
-                            blk.append(eid)
-                            if eid == pe:
-                                break
-                        out.append(tuple(sorted(blk)))
-        return sorted(out)
+        up = self._tree()
+
+        def root_path(v: int) -> set[int]:
+            out = set()
+            while (e := up[v]) is not None:
+                out.add(e.id)
+                v = e.other(v)
+            return out
+
+        parent = {e.id: e.id for e in self.edges}
+        for e in self.edges:
+            for t in root_path(e.u) ^ root_path(e.v):
+                parent[_find(parent, t)] = _find(parent, e.id)
+        classes: dict[int, list[int]] = {}
+        for e in self.edges:
+            classes.setdefault(_find(parent, e.id), []).append(e.id)
+        return sorted(tuple(sorted(c)) for c in classes.values())
 
     def contract(self, edge_ids: Iterable[int]) -> "Graph":
         """Contract the listed edges (loops just disappear)."""
@@ -205,24 +200,17 @@ class Graph(NamedTuple):
             if i not in known:
                 raise UnknownEdge(f"no edge with id {i}")
         parent = {v: v for v in self.vertices}
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
         for e in self.edges:
             if e.id in ids and not e.is_loop:
-                a, b = find(e.u), find(e.v)
+                a, b = _find(parent, e.u), _find(parent, e.v)
                 if a != b:
                     # keep the smaller name as the class representative
                     if a > b:
                         a, b = b, a
                     parent[b] = a
-        reps = sorted({find(v) for v in self.vertices})
+        reps = sorted({_find(parent, v) for v in self.vertices})
         new_edges = [
-            (e.id, find(e.u), find(e.v)) for e in self.edges if e.id not in ids
+            (e.id, _find(parent, e.u), _find(parent, e.v)) for e in self.edges if e.id not in ids
         ]
         return Graph.build(reps, new_edges)
 

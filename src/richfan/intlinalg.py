@@ -79,44 +79,20 @@ def det(rows: Sequence[Sequence[int]]) -> int:
 def integer_kernel(rows: Sequence[Sequence[int]]) -> list[Vec]:
     """Basis of the saturated integer kernel {x : A x = 0}.
 
-    Works by unimodular column operations on A stacked over an identity
-    matrix; columns whose A-part becomes zero give kernel vectors.  The result
-    spans ker(A) over Q and is closed under division (saturated), so it is a
-    lattice basis of ker(A) cap Z^n.
+    The rows (A e_j, e_j) of [A^T | I] span the lattice {(A x, x) : x in Z^n},
+    so the Hermite rows of [A^T | I] are a basis of it too.  They are in
+    echelon form: an integer combination that uses a row whose pivot lies in
+    the A-part is nonzero at the first such pivot.  So the lattice points with
+    A-part zero are exactly the combinations of the Hermite rows with A-part
+    zero, and the identity parts of those rows are a basis of ker(A) cap Z^n,
+    saturated by construction (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 1993, section 2.4).
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if ncols == 0:
+    if not rows:
         return []
-    if nrows == 0:
-        return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
-    # work columns: each is (A column, identity column)
-    acols = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
-    icols = [[1 if r == c else 0 for r in range(ncols)] for c in range(ncols)]
-    top = 0
-    for r in range(nrows):
-        # clear row r to a single pivot among columns top..ncols-1
-        while True:
-            nz = [c for c in range(top, ncols) if acols[c][r] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(acols[c][r]))
-            c0 = nz[0]
-            for c in nz[1:]:
-                q = acols[c][r] // acols[c0][r]
-                if q:
-                    for i in range(nrows):
-                        acols[c][i] -= q * acols[c0][i]
-                    for i in range(ncols):
-                        icols[c][i] -= q * icols[c0][i]
-        nz = [c for c in range(top, ncols) if acols[c][r] != 0]
-        if nz:
-            c0 = nz[0]
-            acols[top], acols[c0] = acols[c0], acols[top]
-            icols[top], icols[c0] = icols[c0], icols[top]
-            top += 1
-    kernel = [tuple(icols[c]) for c in range(top, ncols)]
-    return [tuple(v) for v in kernel]
+    m, n = len(rows), len(rows[0])
+    aug = [tuple(r[j] for r in rows) + tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [h[m:] for h in hnf_rows(aug) if is_zero(h[:m])]
 
 
 def hnf_rows(rows: Sequence[Sequence[int]]) -> list[Vec]:

@@ -30,7 +30,7 @@ from .errors import (
     is_int,
     is_int_vector,
 )
-from .graphs import Graph
+from .graphs import Graph, _find
 from .intlinalg import Vec, primitive, rank_of
 from .monoids import MAX_DIVISOR_TUPLES, SharpMonoid, check_r, divisors
 
@@ -419,22 +419,15 @@ def _young_blocks(supports: Sequence[frozenset], n: int) -> Blocks:
     """
     ms = Counter(supports)
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a in range(n):
         for b in range(a + 1, n):
-            if find(a) == find(b):
+            if _find(parent, a) == _find(parent, b):
                 continue
             if Counter(_swap_support(s, a, b) for s in supports) == ms:
-                parent[find(b)] = find(a)
+                parent[_find(parent, b)] = _find(parent, a)
     groups: dict[int, list[int]] = {}
     for x in range(n):
-        groups.setdefault(find(x), []).append(x)
+        groups.setdefault(_find(parent, x), []).append(x)
     return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
 

@@ -212,9 +212,13 @@ class TestRealFamily:
                     tuple_minima_exist(c.monoid.cone.contains, [c.length(e) for e in cut], r)
                     for cut in g.cuts()
                 )
+                # the monoid-level predicate, cut by cut
+                by_monoid = all(
+                    c.monoid.is_weakly_r_close([c.length(e) for e in cut], r) for cut in g.cuts()
+                )
                 assert c.is_weakly_r_rich(r) == family_is_weakly_r_rich(
                     c.to_real_family(), r
-                ) == literal
+                ) == literal == by_monoid
 
     def test_divisor_tuple_limit_fails_fast(self, theta):
         # 240 divisors of 720720 on the 3-edge cut: 240^3 tuples, above the
