@@ -62,107 +62,85 @@ def _edge_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
 
-def _bool_exit(value: bool) -> int:
-    return EXIT_OK if value else EXIT_FALSE
-
-
-def _run_cuts(args) -> int:
+def _graph(args):
     from .graphs import Graph
 
-    g = Graph.from_obj(_load(args.input))
-    _emit(_canonical({"cuts": [list(c) for c in g.cuts()]}), args.out)
-    return EXIT_OK
+    return Graph.from_obj(_load(args.input))
 
 
-def _run_blocks(args) -> int:
-    from .graphs import Graph
-
-    g = Graph.from_obj(_load(args.input))
-    _emit(_canonical({"blocks": [list(b) for b in g.blocks()]}), args.out)
-    return EXIT_OK
-
-
-def _run_contract(args) -> int:
-    from .graphs import Graph
-
-    g = Graph.from_obj(_load(args.input))
-    h = g.contract(_edge_list(args.contract))
-    _emit(_canonical(h.to_obj()), args.out)
-    return EXIT_OK
-
-
-def _run_check_rich(args) -> int:
+def _curve(args):
     from .curves import TropicalCurve
 
-    c = TropicalCurve.from_obj(_load(args.input))
-    return _bool_exit(c.is_r_rich(_parse_r(args.r)))
+    return TropicalCurve.from_obj(_load(args.input))
 
 
-def _run_check_weakly_rich(args) -> int:
-    from .curves import TropicalCurve
+def _fan(args):
+    from .cones import Fan
 
-    c = TropicalCurve.from_obj(_load(args.input))
-    return _bool_exit(c.is_weakly_r_rich(_parse_r(args.r)))
+    return Fan.from_obj(_load(args.input))
 
 
-def _run_basic_model(args) -> int:
-    from .curves import TropicalCurve
+# A handler returns (output, verdict): output is the JSON value to write
+# canonically, SVG text, or None; verdict is false when a check answers no.
 
-    c = TropicalCurve.from_obj(_load(args.input))
-    m = c.basic_model(_parse_r(args.r))
-    obj = {
+
+def _run_cuts(args):
+    return {"cuts": [list(c) for c in _graph(args).cuts()]}, True
+
+
+def _run_blocks(args):
+    return {"blocks": [list(b) for b in _graph(args).blocks()]}, True
+
+
+def _run_contract(args):
+    return _graph(args).contract(_edge_list(args.contract)).to_obj(), True
+
+
+def _run_check_rich(args):
+    return None, _curve(args).is_r_rich(_parse_r(args.r))
+
+
+def _run_check_weakly_rich(args):
+    return None, _curve(args).is_weakly_r_rich(_parse_r(args.r))
+
+
+def _run_basic_model(args):
+    m = _curve(args).basic_model(_parse_r(args.r))
+    return {
         "components": [list(t) for t in m.components],
         "is_basic": m.is_basic,
         "multipliers": {str(e): v for e, v in m.multipliers},
         "roots": [list(v) for v in m.roots],
-    }
-    _emit(_canonical(obj), args.out)
-    return EXIT_OK
+    }, True
 
 
-def _run_ideal(args) -> int:
-    from .graphs import Graph
+def _run_ideal(args):
     from .subdivision import richness_ideal
 
-    g = Graph.from_obj(_load(args.input))
-    i = richness_ideal(g, _parse_r(args.r))
-    _emit(_canonical(i.to_obj()), args.out)
-    return EXIT_OK
+    return richness_ideal(_graph(args), _parse_r(args.r)).to_obj(), True
 
 
-def _run_subdivide(args) -> int:
-    from .graphs import Graph
+def _run_subdivide(args):
     from .subdivision import weakly_rich_fan
 
-    g = Graph.from_obj(_load(args.input))
-    fan = weakly_rich_fan(g, _parse_r(args.r))
-    _emit(_canonical(fan.to_obj()), args.out)
-    return EXIT_OK
+    return weakly_rich_fan(_graph(args), _parse_r(args.r)).to_obj(), True
 
 
-def _run_verify_fan(args) -> int:
-    from .cones import Fan
-
-    fan = Fan.from_obj(_load(args.input))
+def _run_verify_fan(args):
+    fan = _fan(args)
     complete = fan.is_complete_on_orthant()
     valid = fan.is_valid()
-    _emit(_canonical({"complete_on_orthant": complete, "valid": valid}), args.out)
-    return _bool_exit(valid and complete)
+    return {"complete_on_orthant": complete, "valid": valid}, valid and complete
 
 
-def _run_smoothness(args) -> int:
-    from .graphs import Graph
+def _run_smoothness(args):
     from .subdivision import smoothness_report, weakly_rich_fan
 
-    g = Graph.from_obj(_load(args.input))
-    fan = weakly_rich_fan(g, _parse_r(args.r))
-    rep = smoothness_report(fan)
-    obj = {"cones": list(rep.verdicts), "smooth": rep.smooth}
-    _emit(_canonical(obj), args.out)
-    return EXIT_OK
+    rep = smoothness_report(weakly_rich_fan(_graph(args), _parse_r(args.r)))
+    return {"cones": list(rep.verdicts), "smooth": rep.smooth}, True
 
 
-def _run_factors(args) -> int:
+def _run_factors(args):
     """Whether the image of sigma lies in one chamber of weakly_rich_fan(g,
     r), decided as family_is_weakly_r_rich(fam, r), without the fan.
 
@@ -189,26 +167,22 @@ def _run_factors(args) -> int:
     from .curves import RealFamily, family_is_weakly_r_rich
 
     fam = RealFamily.from_obj(_load(args.input))
-    return _bool_exit(family_is_weakly_r_rich(fam, _parse_r(args.r)))
+    return None, family_is_weakly_r_rich(fam, _parse_r(args.r))
 
 
-def _run_cross_section(args) -> int:
-    from .cones import Fan
+def _run_cross_section(args):
     from .drawing import cross_section, render_svg
 
-    fan = Fan.from_obj(_load(args.input))
-    if args.format == "json":
-        polys = cross_section(fan)
-        obj = {
-            "polygons": [
-                [[f"{c.numerator}/{c.denominator}" for c in p] for p in poly]
-                for poly in polys
-            ]
-        }
-        _emit(_canonical(obj), args.out)
-    else:
-        _emit(render_svg(fan), args.out)
-    return EXIT_OK
+    fan = _fan(args)
+    if args.format == "svg":
+        return render_svg(fan), True
+    polys = cross_section(fan)
+    return {
+        "polygons": [
+            [[f"{c.numerator}/{c.denominator}" for c in p] for p in poly]
+            for poly in polys
+        ]
+    }, True
 
 
 _HANDLERS: dict[str, Callable] = {
@@ -263,10 +237,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_SCHEMA if e.code not in (0,) else 0
     try:
-        return _HANDLERS[args.verb](args)
+        output, verdict = _HANDLERS[args.verb](args)
+        if output is not None:
+            _emit(output if isinstance(output, str) else _canonical(output), args.out)
     except (DomainError, SchemaError, OSError, ValueError, OverflowError) as e:
         sys.stderr.write(_canonical({"error": type(e).__name__, "message": str(e)}))
         return EXIT_DOMAIN if isinstance(e, DomainError) else EXIT_SCHEMA
+    return EXIT_OK if verdict else EXIT_FALSE
 
 
 def entry() -> None:

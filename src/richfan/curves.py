@@ -94,10 +94,19 @@ class TropicalCurve(NamedTuple):
         """
         check_r(r, allow_inf=False)
         cut = tuple(sorted(int(e) for e in cut))
-        if cut not in set(self.graph.cuts()):
+        # side0 is the component of G - cut at the smallest vertex; the set
+        # is a bond when the rest is nonempty and connected in G - cut and
+        # the edges leaving side0 are exactly the set
+        minus = Graph.build(self.graph.vertices, (e for e in self.graph.edges if e.id not in cut))
+        side0 = minus._tree()
+        far = Graph.build(
+            (v for v in minus.vertices if v not in side0),
+            (e for e in minus.edges if e.u not in side0),
+        )
+        leaving = sorted(e.id for e in self.graph.edges if (e.u in side0) != (e.v in side0))
+        if tuple(leaving) != cut or not far.is_connected():
             raise ValueError(f"{cut} is not a cut of the graph")
         root, mults = self.monoid.root_with_multipliers(self._cut_lengths(cut), r)
-        side0 = self._side_of(cut)
         high = tuple(r * t for t in root)
         zero = tuple(0 for _ in range(self.monoid.rank))
         values = {v: (zero if v in side0 else high) for v in self.graph.vertices}
@@ -110,23 +119,6 @@ class TropicalCurve(NamedTuple):
             else:
                 slopes[e.id] = 0
         return PLFunction.build(values, slopes)
-
-    def _side_of(self, cut: Sequence[int]) -> set[int]:
-        cut_set = set(cut)
-        adj = self.graph.adjacency()
-        start = min(self.graph.vertices)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for e in adj[v]:
-                if e.id in cut_set:
-                    continue
-                w = e.other(v)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return seen
 
     def check_pl(self, f: "PLFunction", cut: Sequence[int], r: int) -> bool:
         """Verify a PL certificate: compatibility along every edge, nonzero
@@ -271,8 +263,6 @@ class TropicalCurve(NamedTuple):
                 raise SchemaError(f"length of edge {eid} is outside the monoid")
             if is_zero(v):
                 raise SchemaError(f"edge {eid} has zero length")
-        if not graph.is_connected():
-            raise SchemaError("curve graph must be connected")
         return TropicalCurve.build(graph, monoid, lengths)
 
 

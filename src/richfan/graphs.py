@@ -232,9 +232,6 @@ class Graph(NamedTuple):
             raise SchemaError("graph.vertices must be distinct")
         if not isinstance(edges, list):
             raise SchemaError("graph.edges must be a list")
-        triples = []
-        seen = set()
-        vset = set(verts)
         for e in edges:
             if (
                 not isinstance(e, dict)
@@ -242,10 +239,7 @@ class Graph(NamedTuple):
                 or not is_int_vector(e.get("ends"), 2)
             ):
                 raise SchemaError("each edge needs an integer id and a 2-element ends list")
-            if e["id"] in seen:
-                raise SchemaError(f"duplicate edge id {e['id']}")
-            seen.add(e["id"])
-            if e["ends"][0] not in vset or e["ends"][1] not in vset:
-                raise SchemaError(f"edge {e['id']} touches an unknown vertex")
-            triples.append((e["id"], e["ends"][0], e["ends"][1]))
-        return Graph.build(verts, triples)
+        try:
+            return Graph.build(verts, ((e["id"], *e["ends"]) for e in edges))
+        except ValueError as ex:
+            raise SchemaError(str(ex)) from None

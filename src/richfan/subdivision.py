@@ -681,19 +681,12 @@ def _closure_of_choice(n_edges: int, pairs: Iterable[tuple[int, int]]) -> tuple[
     rows = [1 << i for i in range(n_edges)]
     for a, b in pairs:
         rows[a] |= 1 << b
-    changed = True
-    while changed:
-        changed = False
+    # Warshall: after step k, row i holds each j that i reaches through
+    # intermediate coordinates 0..k alone
+    for k in range(n_edges):
         for i in range(n_edges):
-            acc = rows[i]
-            m = acc
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                acc |= rows[j]
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
     for i in range(n_edges):
         m = rows[i]
         while m:

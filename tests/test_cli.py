@@ -363,6 +363,15 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnknownEdge"
 
+    @pytest.mark.parametrize("verb", ["check-rich", "check-weakly-rich", "basic-model"])
+    def test_disconnected_curve(self, tmp_path, capsys, verb):
+        doc = {"vertices": [0, 1], "edges": [], "monoid": {"rank": 1, "rays": [[1]]}, "lengths": {}}
+        assert main([verb, write(tmp_path, "two.json", doc), "--r", "1"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            '{"error":"DisconnectedGraph","message":"operation needs a connected graph"}\n',
+        )
+
     @pytest.mark.parametrize("verb", ["ideal", "subdivide", "smoothness"])
     def test_disconnected_graph(self, tmp_path, capsys, verb):
         p = write(tmp_path, "two.json", {"vertices": [0, 1], "edges": []})
@@ -629,6 +638,26 @@ class TestFuzz:
             assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
         else:
             assert text == ""
+
+
+class TestOutContract:
+    @pytest.mark.parametrize("verb", sorted(FUZZ_SEEDS))
+    def test_out_holds_the_stdout_bytes(self, tmp_path, capsys, verb):
+        doc, extra = FUZZ_SEEDS[verb]
+        argv = [verb, write(tmp_path, "doc.json", doc), *extra]
+        argv += ["--r", "2"] if verb in _NEEDS_R else []
+        code = main(argv)
+        out, err = capsys.readouterr()
+        target = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(target)]) == code
+        assert capsys.readouterr() == ("", err)
+        # the check verbs answer by exit code alone, and a failing exit
+        # (basic-model: the curve is not 2-rich) writes nothing either
+        assert (out == "") == (verb in ("check-rich", "check-weakly-rich", "factors") or code == 1)
+        if out:
+            assert target.read_text() == out
+        else:
+            assert not target.exists()
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(richfan.__file__)))

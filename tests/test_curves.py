@@ -170,6 +170,34 @@ class TestPLWitness:
                 assert ok == c.is_r_rich(r)
 
 
+    def test_bond_test_matches_cut_enumeration(self):
+        # every edge subset of every census graph with at most 6 edges: the
+        # witness exists exactly for the bonds, and checks
+        subsets = 0
+        for g in small_connected_graphs(6):
+            c = curve(g, 1, {e: (1,) for e in g.edge_ids})
+            bonds = set(g.cuts())
+            for mask in range(1 << len(g.edges)):
+                subset = tuple(e for e in g.edge_ids if mask >> e & 1)
+                subsets += 1
+                if subset in bonds:
+                    assert c.check_pl(c.pl_witness(subset, 1), subset, 1)
+                else:
+                    with pytest.raises(ValueError, match="is not a cut"):
+                        c.pl_witness(subset, 1)
+        assert subsets == 24621
+
+    def test_witness_past_the_cut_vertex_limit(self):
+        n = 30
+        g = Graph.build(range(n), [(i, i, (i + 1) % n) for i in range(n)])
+        c = curve(g, 1, {e: (1,) for e in g.edge_ids})
+        f = c.pl_witness((0, 1), 2)
+        assert c.check_pl(f, (0, 1), 2)
+        assert dict(f.vertex_values)[1] == (2,)
+        with pytest.raises(ValueError, match="is not a cut"):
+            c.pl_witness((0,), 2)
+
+
 class TestRealFamily:
     def test_nested_rows(self, nested_curve):
         fam = nested_curve.to_real_family()

@@ -408,3 +408,12 @@ class TestSerialization:
     def test_rejects_dangling_end(self):
         with pytest.raises(SchemaError):
             Graph.from_obj({"vertices": [0], "edges": [{"id": 0, "ends": [0, 5]}]})
+
+    def test_edge_shapes_are_checked_before_ids_and_ends(self):
+        dup = {"id": 0, "ends": [0, 1]}
+        with pytest.raises(SchemaError, match="^duplicate edge id 0$"):
+            Graph.from_obj({"vertices": [0, 1], "edges": [dup, dup]})
+        with pytest.raises(SchemaError, match="^edge 0 touches an unknown vertex$"):
+            Graph.from_obj({"vertices": [0], "edges": [{"id": 0, "ends": [0, 5]}]})
+        with pytest.raises(SchemaError, match="^each edge needs an integer id"):
+            Graph.from_obj({"vertices": [0, 1], "edges": [dup, dup, {"id": True, "ends": [0, 1]}]})

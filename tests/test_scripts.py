@@ -1,5 +1,6 @@
 """The scripts under scripts/ run to completion and print what they claim."""
 
+import ast
 import json
 import os
 import pathlib
@@ -53,3 +54,12 @@ def test_code_lines():
     assert modules == {p.name for p in (ROOT / "src" / "richfan").glob("*.py")}
     assert lines[-1][0] == "total"
     assert int(lines[-1][1]) == sum(int(n) for _, n in lines[:-1])
+
+
+def test_cli_digest():
+    lines = run_script("cli_digest.py").splitlines()
+    assert lines[0] == "requests 748"
+    codes = ast.literal_eval(lines[1].removeprefix("exit codes "))
+    assert sorted(codes) == list(codes) and set(codes) <= {0, 1, 2, 3}
+    assert sum(codes.values()) == 748
+    assert re.fullmatch(r"digest [0-9a-f]{16}", lines[2])

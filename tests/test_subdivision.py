@@ -125,6 +125,35 @@ def choice_enumeration_fan(g: Graph) -> Fan:
     return Fan(n, cones)
 
 
+def fixed_point_closure(n_edges: int, pairs) -> tuple[int, ...] | None:
+    """Reference route for _closure_of_choice: OR in the rows of every
+    reached coordinate until nothing changes, then test antisymmetry."""
+    rows = [1 << i for i in range(n_edges)]
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n_edges):
+            acc = rows[i]
+            m = acc
+            while m:
+                j = (m & -m).bit_length() - 1
+                m &= m - 1
+                acc |= rows[j]
+            if acc != rows[i]:
+                rows[i] = acc
+                changed = True
+    for i in range(n_edges):
+        m = rows[i]
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            if j != i and rows[j] >> i & 1:
+                return None
+    return tuple(rows)
+
+
 def plain_walk_reference(g: Graph, r: int) -> Fan:
     """Reference route for weakly_rich_fan: the breadth-first walk over every
     chamber, one double description each, without the edge symmetry."""
@@ -926,6 +955,17 @@ class TestChoiceFunctions:
         c = choice_cone(triangle, f)
         assert c.dim() == 1
         assert c.rays == ((1, 1, 1),)
+
+    def test_closure_matches_fixed_point_reference(self):
+        rng = random.Random(11)
+        answers = {True: 0, False: 0}
+        for _ in range(5000):
+            n = rng.randint(0, 8)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            closure = _closure_of_choice(n, pairs)
+            assert closure == fixed_point_closure(n, pairs), (n, pairs)
+            answers[closure is None] += 1
+        assert min(answers.values()) >= 1000, answers
 
     def test_fan_equals_newton_fan_small(self):
         for g in small_connected_graphs(4):
