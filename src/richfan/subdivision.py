@@ -51,7 +51,7 @@ def _lazy_import(spec):
 # package looked its spec up once, at import
 np = _lazy_import(_numpy_spec)
 
-_NP_THRESHOLD = 512
+_PAIRS_CELLS = 65_536  # n*n*k at most this: one all-pairs compare in _pareto_np
 _VALUE_LIMIT = 1 << 62
 _BITSET_VMAX = 4096
 _BITSET_CELLS = 200_000_000
@@ -169,15 +169,6 @@ def _unique_rows(a: "np.ndarray") -> "np.ndarray":
     return a[order[np.r_[True, (w[:, 1:] != w[:, :-1]).any(axis=0)]]]
 
 
-def _minimalize_small(uniq: Iterable[Vec]) -> list[Vec]:
-    """Componentwise-minimal elements of a set of tuples, lex-sorted."""
-    kept: list[Vec] = []
-    for v in sorted(uniq, key=lambda t: (sum(t), t)):
-        if not any(all(k[i] <= v[i] for i in range(len(v))) for k in kept):
-            kept.append(v)
-    return sorted(kept)
-
-
 def _fold_append(
     bits: list["np.ndarray"], kept: "np.ndarray", lo: int, hi: int, vmax: int
 ) -> None:
@@ -237,8 +228,15 @@ def _direct_kill(
 def _pareto_np(arr: "np.ndarray") -> "np.ndarray":
     """Minimal rows under componentwise <=, returned lex-sorted.
 
-    Duplicates are dropped first (_unique_rows), and a stable sort by sum
-    then groups the distinct rows into sum levels, lex-sorted within each.
+    Small inputs (n*n*k at most _PAIRS_CELLS cells) are lex-sorted and
+    compared all against all: a row is kept when no lex-earlier row is <= it.
+    That is exact, because a <= b with a != b implies a <lex b (the first
+    coordinate where they differ is smaller in a).  So every row that some
+    other row strictly dominates has a dominator before it, and of equal rows
+    only the first is kept; duplicates need no separate pass.
+
+    Larger inputs drop duplicates first (_unique_rows), and a stable sort by
+    sum then groups the distinct rows into sum levels, lex-sorted within each.
     Distinct rows of one level never relate, so each level is screened only
     against the rows kept from lower levels.  Screening runs on packed bit
     tables (one per coordinate, indexed by threshold) when values are small,
@@ -251,6 +249,10 @@ def _pareto_np(arr: "np.ndarray") -> "np.ndarray":
         return arr[:1].copy()
     if n <= 1:
         return arr.copy()
+    if n * n * k <= _PAIRS_CELLS:
+        lex = arr[np.lexsort(arr.T[::-1])]
+        dom = (lex[None, :, :] <= lex[:, None, :]).all(2)  # dom[i, j]: row j <= row i
+        return lex[~np.tril(dom, -1).any(1)]
     lex = _unique_rows(arr)
     n = lex.shape[0]
     vmax = int(lex.max())
@@ -340,10 +342,7 @@ def pullback_to_contraction(i: MonomialIdeal, s: Iterable[int]) -> MonomialIdeal
         if not 0 <= t < i.rank:
             raise UnknownCoordinate(f"coordinate {t} out of range")
     keep = [j for j in range(i.rank) if j not in drop]
-    rank = len(keep)
-    if len(i.rows) > _NP_THRESHOLD:
-        return MonomialIdeal(rank, _pareto_np(i.rows[:, keep]))
-    return MonomialIdeal(rank, _minimalize_small(set(map(tuple, i.rows[:, keep].tolist()))))
+    return MonomialIdeal(len(keep), _pareto_np(i.rows[:, keep]))
 
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -486,9 +485,7 @@ def _cut_template_reps(size: int, r: int) -> "np.ndarray":
     for _, lams in sorted(orbits.items()):
         cur = np.zeros((1, size), dtype=np.int64)
         for lam in lams:
-            fac = np.diag(np.array(lam, dtype=np.int64))
-            cand = (cur[:, None, :] + fac[None, :, :]).reshape(-1, size)
-            cur = _pareto_np(cand)
+            cur = _sum_rows(cur, np.diag(np.array(lam, dtype=np.int64)), ())
         stage.append(_pareto_np(_block_canon(cur, whole)))
     stage.sort(key=lambda a: a.shape[0])
     cur = stage[0]

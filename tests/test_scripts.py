@@ -1,6 +1,5 @@
 """The scripts under scripts/ run to completion and print what they claim."""
 
-import ast
 import json
 import os
 import pathlib
@@ -57,9 +56,11 @@ def test_code_lines():
 
 
 def test_cli_digest():
+    # the digest pins the bytes of every pool request; the pool's stderr holds
+    # richfan's own messages and two messages of the json decoder
     lines = run_script("cli_digest.py").splitlines()
-    assert lines[0] == "requests 748"
-    codes = ast.literal_eval(lines[1].removeprefix("exit codes "))
-    assert sorted(codes) == list(codes) and set(codes) <= {0, 1, 2, 3}
-    assert sum(codes.values()) == 748
-    assert re.fullmatch(r"digest [0-9a-f]{16}", lines[2])
+    assert lines == [
+        "requests 748",
+        "exit codes {0: 707, 1: 8, 2: 9, 3: 24}",
+        "digest 0e75d4762003f6e5",
+    ]

@@ -2,8 +2,8 @@
 
 import math
 import random
-from collections import deque
-from itertools import permutations, product
+from collections import Counter, deque
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from richfan import (
 )
 from richfan.catalog import small_connected_graphs
 from richfan.cones import double_description, unit
+from richfan.intlinalg import det
 from richfan.errors import (
     DimensionMismatch,
     DisconnectedGraph,
@@ -47,7 +48,6 @@ from richfan.subdivision import (
     _arrangement,
     _closure_of_choice,
     _cut_template_rows,
-    _minimalize_small,
     _pareto_np,
     _unique_rows,
 )
@@ -197,6 +197,30 @@ TRIANGLE_R1 = {
 }
 
 
+def minimalize_small(uniq):
+    """Reference route for small pullbacks: componentwise-minimal elements of
+    a set of tuples, screened in (sum, lex) order and returned lex-sorted."""
+    kept = []
+    for v in sorted(uniq, key=lambda t: (sum(t), t)):
+        if not any(all(k[i] <= v[i] for i in range(len(v))) for k in kept):
+            kept.append(v)
+    return sorted(kept)
+
+
+@st.composite
+def pareto_rows(draw):
+    """1 to 60 rows of rank 1 to 5, drawn from a pool of up to 12 rows so
+    that rows repeat.  Entries come from up to 4 values in one of a few ranges
+    up to 2**62 - 1, so that rows dominate each other at every scale."""
+    k = draw(st.integers(1, 5))
+    hi = draw(st.sampled_from([1, 6, 1000, (1 << 62) - 1]))
+    values = draw(st.lists(st.integers(0, hi), min_size=1, max_size=4))
+    row = st.lists(st.sampled_from(values), min_size=k, max_size=k)
+    pool = draw(st.lists(row, min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    return np.array([pool[i] for i in picks], dtype=np.int64)
+
+
 def brute_minimal(gens):
     """Reference pruning: keep rows not strictly dominated by another row."""
     out = set()
@@ -245,7 +269,6 @@ class TestMonomialIdeal:
     )
     @settings(max_examples=150, deadline=None)
     def test_minimalize_matches_brute_force(self, gens):
-        assert set(_minimalize_small(set(gens))) == brute_minimal(gens)
         assert set(MonomialIdeal.from_generators(3, gens).generators) == brute_minimal(gens)
 
     @pytest.mark.parametrize("scale", [1, 7, 300, 5000, 1 << 40])
@@ -267,6 +290,21 @@ class TestMonomialIdeal:
         got = [tuple(row) for row in _pareto_np(arr).tolist()]
         assert got == sorted(set(got))
         assert set(got) == brute_minimal([tuple(row) for row in arr.tolist()])
+
+    @given(pareto_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_pareto_np_routes_match_brute_force(self, arr):
+        # _PAIRS_CELLS = 0 sends every input through the sum-level screen,
+        # 10**12 every input through the all-pairs compare
+        want = sorted(brute_minimal([tuple(row) for row in arr.tolist()]))
+        before = arr.copy()
+        for cells in (0, 10**12):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(subdivision, "_PAIRS_CELLS", cells)
+                got = _pareto_np(arr)
+            assert got.dtype == np.int64
+            assert [tuple(row) for row in got.tolist()] == want
+        assert np.array_equal(arr, before)
 
     def test_exponent_limit_rejected(self):
         with pytest.raises(ValueError):
@@ -514,8 +552,9 @@ class TestRows:
             MonomialIdeal.from_obj({"rank": 1, "generators": [[big]]})
 
     def test_row_sums_beyond_int64(self):
-        # three exponents near 2**62 sum past 2**63; over 512 distinct rows
-        # take the array route, which must still see (0, 0, top) <= (top, top, top)
+        # three exponents near 2**62 sum past 2**63; 602 rows of rank 3 are
+        # past _PAIRS_CELLS and take the sum-level screen, which must still
+        # see (0, 0, top) <= (top, top, top)
         top = (1 << 62) - 1
         gens = [(top, top, top), (0, 0, top)] + [(i, 600 - i, 0) for i in range(600)]
         i = MonomialIdeal.from_generators(3, gens)
@@ -633,6 +672,20 @@ class TestPullback:
         i = richness_ideal(triangle, 1)
         with pytest.raises(UnknownCoordinate):
             pullback_to_contraction(i, [5])
+
+    def test_matches_tuple_route_on_census(self):
+        # every coordinate subset of every ideal of the <=4-edge census at
+        # r = 1, 2, against minimalization of the sliced tuples
+        for g in small_connected_graphs(4):
+            for r in (1, 2):
+                i = richness_ideal(g, r)
+                for m in range(i.rank + 1):
+                    for s in combinations(range(i.rank), m):
+                        keep = [j for j in range(i.rank) if j not in s]
+                        want = minimalize_small(set(map(tuple, i.rows[:, keep].tolist())))
+                        got = pullback_to_contraction(i, s)
+                        assert got.rank == len(keep)
+                        assert got.generators == tuple(want), (g.to_obj(), r, s)
 
     def test_matches_recomputation(self):
         g = Graph.build([0, 1, 2], [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 1)])
@@ -1135,6 +1188,28 @@ class TestFans:
         for g in small_connected_graphs(3, min_edges=1):
             for r in (1, 2, 3):
                 assert weakly_rich_fan(g, r).is_complete_on_orthant(), (g.to_obj(), r)
+
+
+class TestMultiplicities:
+    """Past r = 1 the weakly rich fan is neither simplicial nor unimodular.
+    The multiplicity of a simplicial cone is |det| of its rays."""
+
+    @staticmethod
+    def table(fan):
+        simplicial = [c for c in fan.cones if len(c.rays) == fan.rank]
+        return len(fan.cones), len(simplicial), Counter(abs(det(c.rays)) for c in simplicial)
+
+    @pytest.mark.parametrize(
+        "n, r, want",
+        [
+            (3, 2, (30, 24, {1: 18, 2: 6})),
+            (3, 3, (30, 24, {1: 6, 2: 6, 4: 6, 12: 6})),
+            (4, 2, (336, 192, {1: 96, 2: 72, 4: 24})),
+            (5, 2, (5040, 2040, {1: 600, 2: 720, 4: 480, 8: 120, 16: 120})),
+        ],
+    )
+    def test_cycle_multiplicities(self, n, r, want):
+        assert self.table(weakly_rich_fan(cycle(n), r)) == want
 
 
 class TestSmoothness:
