@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SchemaError, check_rank, is_int, is_int_vector
@@ -49,9 +49,17 @@ def double_description(
     carries its tight bitmask.  Lines are consumed first whenever a new
     constraint cuts the current lineality space.  The lines lie in the kernel
     of every inequality, so reducing a ray modulo the lines keeps its mask.
+
+    A constraint with at most two nonzero entries is dotted over them alone:
+    units and differences cut out the chambers and choice cones.  Consuming a
+    line h with d = <a,h> > 0 maps each other line and ray v to
+    d v - <a,v> h.  A vector with <a,v> = 0 is kept as it is: it is
+    primitive, as every stored line and ray is, and d v reduces back to it.
     """
-    ins = [tuple(int(x) for x in a) for a in ineqs]
-    eqn = [tuple(int(x) for x in e) for e in eqs]
+    ins = [tuple(map(int, a)) for a in ineqs]
+    eqn = [tuple(map(int, e)) for e in eqs]
+    if any(len(a) != rank for a in ins + eqn):
+        raise ValueError("dot of vectors of different lengths")
     eqn = [e for e in eqn if not is_zero(e)]
 
     lines: list[Vec] = [unit(rank, i) for i in range(rank)]
@@ -59,68 +67,73 @@ def double_description(
 
     def insert(a: Vec, bit: int | None, prev_mask: int) -> None:
         nonlocal lines, rays
-        orig = next((l for l in lines if dot(a, l) != 0), None)
-        if orig is not None:
-            d = dot(a, orig)
-            hit = orig if d > 0 else tuple(-x for x in orig)
+        sup = [(i, x) for i, x in enumerate(a) if x]
+        if len(sup) <= 2:
+            (i, x), (j, y) = (sup + [(0, 0), (0, 0)])[:2]
+
+            def adot(v: Vec) -> int:
+                return x * v[i] + y * v[j]
+        else:
+
+            def adot(v: Vec) -> int:
+                return sum(map(mul, a, v))
+
+        b = 0 if bit is None else 1 << bit
+        for k, orig in enumerate(lines):
+            d = adot(orig)
+            if d:
+                break
+        else:
+            d = 0
+        if d:
+            hit = orig if d > 0 else tuple(-t for t in orig)
             d = abs(d)
-            new_lines = []
-            for l in lines:
-                if l is orig:
-                    continue
-                dl = dot(a, l)
-                nl = tuple(d * li - dl * hi for li, hi in zip(l, hit))
-                new_lines.append(primitive(nl))
+            new_lines = lines[:k]  # dot 0, as orig is the first line off it
+            for l in lines[k + 1 :]:
+                dl = adot(l)
+                if dl:
+                    l = primitive(tuple(d * s - dl * h for s, h in zip(l, hit)))
+                new_lines.append(l)
             new_rays = []
             for v, m in rays:
-                dv = dot(a, v)
-                nv = tuple(d * vi - dv * hi for vi, hi in zip(v, hit))
-                nm = m if bit is None else (m | (1 << bit))
-                new_rays.append((primitive(nv), nm))
+                dv = adot(v)
+                if dv:
+                    v = primitive(tuple(d * s - dv * h for s, h in zip(v, hit)))
+                new_rays.append((v, m | b))
             lines = new_lines
             rays = new_rays
             if bit is not None:
                 # the consumed line survives as a ray on the positive side
-                rays.append((primitive(hit), prev_mask))
+                rays.append((hit, prev_mask))
             return
         pos = []
         zero = []
         neg = []
         for v, m in rays:
-            dv = dot(a, v)
+            dv = adot(v)
             if dv > 0:
                 pos.append((v, m, dv))
             elif dv < 0:
                 neg.append((v, m, dv))
             else:
-                zero.append((v, m))
+                zero.append((v, m | b))
         if not neg and bit is None and not pos:
             return
-        all_masks = [m for _, m in zero] + [m for _, m, _ in pos] + [m for _, m, _ in neg]
+        all_masks = [m for _, m in rays]
         fresh: dict[Vec, int] = {}
         for pv, pm, pd in pos:
             for nv, nm, nd in neg:
                 t = pm & nm
-                ok = True
                 for m in all_masks:
-                    if m is pm or m is nm:
-                        continue
-                    if (t & m) == t:
-                        ok = False
+                    if t & m == t and m is not pm and m is not nm:
                         break
-                if ok:
-                    w = primitive(tuple(pd * x - nd * y for x, y in zip(nv, pv)))
-                    tm = t if bit is None else (t | (1 << bit))
-                    fresh.setdefault(w, tm)
-        out: list[tuple[Vec, int]] = []
-        if bit is None:
-            out.extend(zero)
-        else:
-            b = 1 << bit
-            out.extend((v, m | b) for v, m in zero)
-            out.extend((v, m) for v, m, _ in pos)
-        out.extend(fresh.items())
-        rays = out
+                else:
+                    w = primitive(tuple(pd * s - nd * h for s, h in zip(nv, pv)))
+                    fresh.setdefault(w, t | b)
+        if bit is not None:
+            zero.extend((v, m) for v, m, _ in pos)
+        zero.extend(fresh.items())
+        rays = zero
 
     for e in eqn:
         insert(e, None, 0)
@@ -128,9 +141,12 @@ def double_description(
         insert(a, k, (1 << k) - 1)
 
     line_basis = saturated_span(lines) if lines else []
-    masks = {_reduce_mod_lines(v, line_basis): m for v, m in rays}
-    vecs = sorted(masks)
-    return list(line_basis), vecs, [masks[v] for v in vecs]
+    if line_basis:
+        classes = {_reduce_mod_lines(v, line_basis): m for v, m in rays}
+    else:  # every ray is primitive, so it is its own representative
+        classes = dict(rays)
+    vecs = sorted(classes)
+    return list(line_basis), vecs, [classes[v] for v in vecs]
 
 
 def _reduce_mod_lines(v: Sequence[int], lines_hnf: Sequence[Vec]) -> Vec:

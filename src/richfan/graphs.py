@@ -6,6 +6,7 @@ edge ends are stored sorted so an edge is (id, u, v) with u <= v.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import DisconnectedGraph, SchemaError, UnknownEdge, is_int, is_int_vector
@@ -13,6 +14,7 @@ from .errors import DisconnectedGraph, SchemaError, UnknownEdge, is_int, is_int_
 # safety limit: cuts walks every connected vertex set through the first
 # vertex, up to 2^(n-1) of them on a complete graph
 MAX_CUT_VERTICES = 22
+_CUTS_CACHE_ENTRIES = 64  # graphs; the least recently used goes first
 
 
 def _bits_connected(verts: int, nbr: list[int]) -> bool:
@@ -125,35 +127,11 @@ class Graph(NamedTuple):
         vertex is reached exactly once by branching on the lowest open
         neighbour of S: take it into S, or ban it.  S gives a bond when its
         complement is non-empty and connected.  Loops never appear.
+
+        Results are memoized per graph value (the last _CUTS_CACHE_ENTRIES
+        graphs) and returned as a fresh list; errors are raised on every call.
         """
-        self.require_connected()
-        n = len(self.vertices)
-        if n > MAX_CUT_VERTICES:
-            raise ValueError("too many vertices for cut enumeration")
-        index = {v: i for i, v in enumerate(self.vertices)}
-        nbr = [0] * n
-        ends = []  # (id, both end bits), by id
-        for e in sorted(self.edges):
-            if not e.is_loop:
-                u, v = index[e.u], index[e.v]
-                nbr[u] |= 1 << v
-                nbr[v] |= 1 << u
-                ends.append((e.id, 1 << u | 1 << v))
-        full = (1 << n) - 1
-        out = []
-        stack = [(1, 1, nbr[0])]  # (side, side | banned, neighbours of side)
-        while stack:
-            side, closed, reach = stack.pop()
-            open_ = reach & ~closed
-            if open_:
-                v = open_ & -open_
-                stack.append((side, closed | v, reach))
-                stack.append((side | v, closed | v, reach | nbr[v.bit_length() - 1]))
-                continue
-            rest = full & ~side
-            if rest and _bits_connected(rest, nbr):
-                out.append(tuple(eid for eid, uv in ends if uv & side and uv & rest))
-        return sorted(out)
+        return list(_cuts(self))
 
     def blocks(self) -> list[tuple[int, ...]]:
         """Circuit blocks: loops as singletons plus biconnected components.
@@ -243,3 +221,36 @@ class Graph(NamedTuple):
             return Graph.build(verts, ((e["id"], *e["ends"]) for e in edges))
         except ValueError as ex:
             raise SchemaError(str(ex)) from None
+
+
+@lru_cache(maxsize=_CUTS_CACHE_ENTRIES)
+def _cuts(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The bonds of Graph.cuts, enumerated once per graph value."""
+    g.require_connected()
+    n = len(g.vertices)
+    if n > MAX_CUT_VERTICES:
+        raise ValueError("too many vertices for cut enumeration")
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbr = [0] * n
+    ends = []  # (id, both end bits), by id
+    for e in sorted(g.edges):
+        if not e.is_loop:
+            u, v = index[e.u], index[e.v]
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+            ends.append((e.id, 1 << u | 1 << v))
+    full = (1 << n) - 1
+    out = []
+    stack = [(1, 1, nbr[0])]  # (side, side | banned, neighbours of side)
+    while stack:
+        side, closed, reach = stack.pop()
+        open_ = reach & ~closed
+        if open_:
+            v = open_ & -open_
+            stack.append((side, closed | v, reach))
+            stack.append((side | v, closed | v, reach | nbr[v.bit_length() - 1]))
+            continue
+        rest = full & ~side
+        if rest and _bits_connected(rest, nbr):
+            out.append(tuple(eid for eid, uv in ends if uv & side and uv & rest))
+    return tuple(sorted(out))

@@ -233,7 +233,9 @@ def _pareto_np(arr: "np.ndarray") -> "np.ndarray":
     That is exact, because a <= b with a != b implies a <lex b (the first
     coordinate where they differ is smaller in a).  So every row that some
     other row strictly dominates has a dominator before it, and of equal rows
-    only the first is kept; duplicates need no separate pass.
+    only the first is kept; duplicates need no separate pass.  Each row is
+    <= itself, so the first dominator of row i (argmax of its boolean row)
+    is at most i, and it is i exactly when no earlier row is <= row i.
 
     Larger inputs drop duplicates first (_unique_rows), and a stable sort by
     sum then groups the distinct rows into sum levels, lex-sorted within each.
@@ -252,7 +254,7 @@ def _pareto_np(arr: "np.ndarray") -> "np.ndarray":
     if n * n * k <= _PAIRS_CELLS:
         lex = arr[np.lexsort(arr.T[::-1])]
         dom = (lex[None, :, :] <= lex[:, None, :]).all(2)  # dom[i, j]: row j <= row i
-        return lex[~np.tril(dom, -1).any(1)]
+        return lex[dom.argmax(1) == np.arange(n)]
     lex = _unique_rows(arr)
     n = lex.shape[0]
     vmax = int(lex.max())
@@ -664,13 +666,16 @@ def _difference(n: int, h: int, e: int) -> Vec:
 def choice_cone(g: Graph, f: ChoiceFunction) -> Cone:
     """{x >= 0 : x_f(c) <= x_e for every cut c and edge e of c}, the r = 1
     cone where the chosen edge is smallest in every cut."""
-    return _choice_cone(*_choice_pairs(g, f.choices))
+    n, pairs = _choice_pairs(g, f.choices)
+    return _choice_cone(n, range(n), pairs)
 
 
-def _choice_cone(n: int, pairs: Iterable[tuple[int, int]]) -> Cone:
-    """{x >= 0 : x_h <= x_e for every coordinate pair (h, e)}."""
-    ineqs = [unit(n, j) for j in range(n)] + [_difference(n, h, e) for h, e in pairs]
-    return Cone.from_inequalities(n, ineqs)
+def _choice_cone(n: int, low: Iterable[int], pairs: Iterable[tuple[int, int]]) -> Cone:
+    """{x : x_j >= 0 for j in low, x_h <= x_e for every coordinate pair
+    (h, e)}, with one inequality per distinct pair."""
+    units = [unit(n, j) for j in low]
+    diffs = [_difference(n, h, e) for h, e in dict.fromkeys(pairs)]
+    return Cone.from_inequalities(n, units + diffs)
 
 
 def _closure_of_choice(n_edges: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...] | None:
@@ -918,11 +923,34 @@ def cut_order_from_choice(g: Graph, f: ChoiceFunction) -> CutOrder:
 
 def choice_monoid(g: Graph, f: ChoiceFunction) -> SharpMonoid:
     """Monoid generated by N^E and the differences e - f(c) inside Z^E, for a
-    minimal choice (NotMinimalOrder otherwise, as in cut_order_from_choice)."""
+    minimal choice (NotMinimalOrder otherwise, as in cut_order_from_choice).
+
+    Its cone is the dual of the choice cone C = {x >= 0 : x_h <= x_e for
+    every pair}, which is built from its facets alone (cf. Stanley, "Two
+    poset polytopes", Discrete Comput. Geom. 1986): x_h <= x_e for every
+    cover h < e of the partial order the closure holds, and x_j >= 0 for
+    every minimal coordinate j.  That is the same cone.  Every pair is a
+    relation of the order, and every relation h < e is a chain of covers
+    h = c_0 < c_1 < ... < c_k = e, whose inequalities add up to x_h <= x_e.
+    Every coordinate e lies above a minimal one j, so x_j >= 0 and x_j <= x_e
+    give x_e >= 0.  Conversely, every cover and unit of the list holds on C.
+    """
     n, pairs = _choice_pairs(g, f.choices)
-    if _closure_of_choice(n, pairs) is None:
+    closure = _closure_of_choice(n, pairs)
+    if closure is None:
         raise NotMinimalOrder("choice generates a cyclic (non-minimal) preorder")
-    return SharpMonoid(n, _choice_cone(n, pairs).dual())
+    # above[h]: the coordinates strictly above h; e covers h when it is
+    # above h and above no other coordinate above h
+    above = [row & ~(1 << h) for h, row in enumerate(closure)]
+    covers = []
+    for h, up in enumerate(above):
+        over = 0
+        for e in range(n):
+            if up >> e & 1:
+                over |= above[e]
+        covers += [(h, e) for e in range(n) if (up & ~over) >> e & 1]
+    minima = [j for j in range(n) if not any(up >> j & 1 for up in above)]
+    return SharpMonoid(n, _choice_cone(n, minima, covers).dual())
 
 
 # -- reports ------------------------------------------------------------------

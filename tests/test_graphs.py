@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from richfan import Graph
+from richfan.catalog import small_connected_graphs
 from richfan.errors import DisconnectedGraph, SchemaError, UnknownEdge
-from richfan.graphs import MAX_CUT_VERTICES, Edge
+from richfan.graphs import _CUTS_CACHE_ENTRIES, MAX_CUT_VERTICES, Edge, _cuts
 
 
 def bond_oracle(g: Graph) -> set[tuple[int, ...]]:
@@ -278,6 +279,38 @@ class TestCuts:
             kept = [e for e in g.edges if e.id not in c]
             comps = _component_count(g.vertices, kept)
             assert comps == 2
+
+
+class TestCutsCache:
+    def test_returned_list_is_fresh(self, triangle):
+        first = triangle.cuts()
+        first.append((99,))
+        first[0] = ()
+        assert triangle.cuts() == [(0, 1), (0, 2), (1, 2)]
+        assert triangle.cuts() is not triangle.cuts()
+
+    def test_cached_cuts_match_bipartitions_on_the_census(self):
+        for g in small_connected_graphs(5):
+            want = bipartition_cuts(g)
+            assert g.cuts() == want  # computed or cached
+            assert g.cuts() == want  # cached
+
+    def test_errors_are_raised_on_every_call(self):
+        apart = Graph.build([0, 1], [])
+        long = path(MAX_CUT_VERTICES + 1)
+        for _ in range(2):
+            with pytest.raises(DisconnectedGraph):
+                apart.cuts()
+            with pytest.raises(ValueError, match="too many vertices"):
+                long.cuts()
+
+    def test_cache_is_bounded(self):
+        for k in range(2 * _CUTS_CACHE_ENTRIES):  # triangles with shifted edge ids
+            assert Graph.build(range(3), [(k, 0, 1), (k + 1, 1, 2), (k + 2, 0, 2)]).cuts() == [
+                (k, k + 1), (k, k + 2), (k + 1, k + 2)
+            ]
+            assert _cuts.cache_info().currsize <= _CUTS_CACHE_ENTRIES
+        assert _cuts.cache_info().currsize == _CUTS_CACHE_ENTRIES
 
 
 def _component_count(vertices, edges) -> int:
