@@ -209,11 +209,11 @@ def reference_double_description(rank, ineqs, eqs=()):
     return list(line_basis), vecs, [masks[v] for v in vecs]
 
 
-
 @st.composite
 def dd_systems(draw):
-    """(rank, ineqs, eqs) of rank 0-6 with entries in -3..3, mostly on one to
-    three coordinates: units, given equations, zero rows, repeats and pairs
+    """(rank, ineqs, eqs) of rank 0-6, each row with entries in -3..3 on a
+    drawn set of coordinates (often one or two, as in units and
+    differences), plus units, given equations, zero rows, repeats and pairs
     a, -a, so that cones come out full or lower dimensional, pointed or not."""
     n = draw(st.integers(0, 6))
 
@@ -445,7 +445,11 @@ class TestDoubleDescription:
 
 
 class TestKernelOracle:
-    """double_description against the reference insertion it replaced."""
+    """double_description against the reference insertion it replaced.
+
+    A kernel that keeps a line l unchanged when <a,l> != 0 fails
+    test_matches_reference and test_kinds_of_cones.
+    """
 
     @given(dd_systems())
     @settings(max_examples=400, deadline=None)
@@ -458,7 +462,11 @@ class TestKernelOracle:
         for system in [
             (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 2)], []),
             (3, [(1, -1, 0), (0, 2, -3)], []),
-            (4, [unit(4, i) for i in range(4)] + [(0,) * 4, (0, 1, 0, -1), (0, 1, 0, -1)], [(1, 0, -1, 0)]),
+            (
+                4,
+                [unit(4, i) for i in range(4)] + [(0,) * 4, (0, 1, 0, -1), (0, 1, 0, -1)],
+                [(1, 0, -1, 0)],
+            ),
             (0, [(), ()], [()]),
         ]:
             assert double_description(*system) == reference_double_description(*system)
