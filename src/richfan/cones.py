@@ -169,13 +169,14 @@ def _reduce_mod_lines(v: Sequence[int], lines_hnf: Sequence[Vec]) -> Vec:
 class Cone:
     """A rational polyhedral cone in a fixed ambient rank."""
 
-    __slots__ = ("rank", "rays", "lines", "_dual")
+    __slots__ = ("rank", "rays", "lines", "_dual", "_unimodular")
 
     def __init__(self, rank: int, rays: tuple[Vec, ...], lines: tuple[Vec, ...]):
         self.rank = rank
         self.rays = rays
         self.lines = lines
         self._dual: Cone | None = None
+        self._unimodular: bool | None = None  # is_unimodular's verdict
 
     @classmethod
     def from_inequalities(
@@ -356,18 +357,23 @@ def is_unimodular(cone: Cone) -> bool:
     the rays' lattice L and of S share their pivot columns, and projecting on
     those columns shows [S : L] = prod(pivots of L) / prod(pivots of S).
     Independence matters: the rays (x, y, 1, 0, 0), x, y in {0, 1}, generate
-    the saturated Z^3 x 0 x 0 but are four vectors.
+    the saturated Z^3 x 0 x 0 but are four vectors.  The verdict is kept on
+    the cone, so the cone of a monoid asked is_free and hilbert_basis runs
+    one determinant.
     """
-    if cone.lines:
-        return False
-    rays = cone.rays
-    k, n = len(rays), cone.rank
-    if k == n:
-        return abs(det(rays)) == 1
-    if k > n:
-        return False
-    basis = hnf_rows(rays)
-    return len(basis) == k and _pivot_product(basis) == _pivot_product(saturated_span(rays))
+    if cone._unimodular is None:
+        rays = cone.rays
+        k, n = len(rays), cone.rank
+        if cone.lines or k > n:
+            cone._unimodular = False
+        elif k == n:
+            cone._unimodular = abs(det(rays)) == 1
+        else:
+            basis = hnf_rows(rays)
+            cone._unimodular = len(basis) == k and _pivot_product(basis) == _pivot_product(
+                saturated_span(rays)
+            )
+    return cone._unimodular
 
 
 def _pivot_product(echelon: Sequence[Vec]) -> int:

@@ -338,13 +338,28 @@ def pullback_to_contraction(i: MonomialIdeal, s: Iterable[int]) -> MonomialIdeal
 
     A generator supported entirely inside s becomes the zero vector, turning
     the result into the unit ideal.
+
+    The minimal generators are the minimal rows of the projection arr.
+    Before _pareto_np, one row m = arr[i0] screens out every other row
+    x >= m.  That is exact for any row m that is kept: x >= m with x != m is
+    dominated by m, and x == m is a duplicate of m.  So the choice of m only
+    sets how much the screen removes.  i0 is a least-sum row, which is
+    minimal and on a projection usually dominates most rows (a projection
+    often collapses to a few generators, or to the unit ideal).  Because any
+    m is exact, an int64 row sum that wraps needs no guard.
     """
     drop = set(int(t) for t in s)
     for t in drop:
         if not 0 <= t < i.rank:
             raise UnknownCoordinate(f"coordinate {t} out of range")
     keep = [j for j in range(i.rank) if j not in drop]
-    return MonomialIdeal(len(keep), _pareto_np(i.rows[:, keep]))
+    arr = i.rows[:, keep]
+    if len(arr) > 1:
+        i0 = int(arr.sum(axis=1).argmin())
+        screened = (arr >= arr[i0]).all(axis=1)
+        screened[i0] = False
+        arr = arr[~screened]
+    return MonomialIdeal(len(keep), _pareto_np(arr))
 
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -387,17 +402,17 @@ def _sum_rows(a: "np.ndarray", b: "np.ndarray", blocks: Blocks) -> "np.ndarray":
 
 def _expand_rows(arr: "np.ndarray", blocks: Blocks) -> "np.ndarray":
     """All distinct images of the rows under block-wise coordinate
-    permutations, lex-sorted (arr itself when no block moves)."""
+    permutations, lex-sorted (arr itself when no block moves).  Row p of idx
+    is one column permutation, so out[:, idx] gathers every image of every
+    row at once."""
     out = arr
+    rank = arr.shape[1]
     for b in blocks:
         if len(b) <= 1:
             continue
-        cols = list(b)
-        perms = list(permutations(cols))
-        imgs = np.repeat(out[None], len(perms), axis=0)
-        for img, p in zip(imgs, perms):
-            img[:, cols] = out[:, list(p)]
-        out = _unique_rows(imgs.reshape(-1, out.shape[1]))
+        idx = np.tile(np.arange(rank), (math.factorial(len(b)), 1))
+        idx[:, list(b)] = list(permutations(b))
+        out = _unique_rows(out[:, idx].reshape(-1, rank))
     return out
 
 

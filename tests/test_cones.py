@@ -608,6 +608,21 @@ class TestUnimodular:
                 free_checked += 1
         assert free_checked >= 100
 
+    def test_one_determinant_per_cone(self, monkeypatch):
+        calls = []
+
+        def counting_det(rows):
+            calls.append(rows)
+            return det(rows)
+
+        monkeypatch.setattr(cones, "det", counting_det)
+        m = next(census_choice_monoids(3))
+        assert len(m.cone.rays) == m.rank
+        assert m.is_free()
+        assert m.hilbert_basis() == sorted(m.cone.rays)
+        assert m.is_free()
+        assert len(calls) == 1
+
 
 class TestFan:
     def two_cone_fan(self) -> Fan:

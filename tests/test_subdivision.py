@@ -1,5 +1,6 @@
 """Richness ideals, their fans, choice functions, and smoothness."""
 
+import hashlib
 import math
 import random
 from collections import Counter, deque
@@ -7,7 +8,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from richfan import (
     ChoiceFunction,
@@ -48,6 +49,7 @@ from richfan.subdivision import (
     _arrangement,
     _closure_of_choice,
     _cut_template_rows,
+    _expand_rows,
     _pareto_np,
     _unique_rows,
 )
@@ -434,6 +436,44 @@ def int64_rows(draw):
     return np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), k)
 
 
+def expand_rows_reference(arr, blocks):
+    """Reference route for _expand_rows: one image array per permutation of
+    each block, written column by column, then the distinct rows."""
+    out = arr
+    for b in blocks:
+        if len(b) <= 1:
+            continue
+        cols = list(b)
+        perms = list(permutations(cols))
+        imgs = np.repeat(out[None], len(perms), axis=0)
+        for img, p in zip(imgs, perms):
+            img[:, cols] = out[:, list(p)]
+        out = np.unique(imgs.reshape(-1, out.shape[1]), axis=0)
+    return out
+
+
+@st.composite
+def blocked_rows(draw):
+    """int64 rows of rank 1 to 6 with repeats, and a partition of the
+    coordinates into blocks: shuffled coordinates cut at random points."""
+    k = draw(st.integers(1, 6))
+    lo, hi = draw(st.sampled_from([(0, 3), (-5, 5), (0, (1 << 62) - 1), (-(1 << 63), (1 << 63) - 1)]))
+    row = st.lists(st.integers(lo, hi), min_size=k, max_size=k)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+    arr = np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), k)
+    coords = draw(st.permutations(range(k)))
+    cuts = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
+    blocks, cur = [], [coords[0]]
+    for x, cut in zip(coords[1:], cuts):
+        if cut:
+            blocks.append(cur)
+            cur = []
+        cur.append(x)
+    blocks.append(cur)
+    return arr, tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
 class TestRows:
     """MonomialIdeal keeps its minimal generators as one lex-sorted,
     read-only int64 array; generators is the same set as tuples."""
@@ -443,6 +483,17 @@ class TestRows:
     def test_unique_rows_matches_numpy(self, a):
         got = _unique_rows(a)
         want = np.unique(a, axis=0)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @given(blocked_rows())
+    @example((np.arange(18, dtype=np.int64).reshape(3, 6) % 4, ((0, 2, 3, 4, 5), (1,))))
+    @example((np.array([[1, 1, 2, 2, 3]], dtype=np.int64), ((0, 1, 2, 3, 4),)))
+    @settings(max_examples=200, deadline=None)
+    def test_expand_rows_matches_reference(self, case):
+        arr, blocks = case
+        got = _expand_rows(arr, blocks)
+        want = expand_rows_reference(arr, blocks)
         assert got.dtype == np.int64 and got.shape == want.shape
         assert np.array_equal(got, want)
 
@@ -687,6 +738,63 @@ class TestPullback:
                         got = pullback_to_contraction(i, s)
                         assert got.rank == len(keep)
                         assert got.generators == tuple(want), (g.to_obj(), r, s)
+
+    TOP = (1 << 62) - 1
+
+    @pytest.mark.parametrize(
+        "gens, drop",
+        [
+            # a row zero off the drop set: the unit ideal
+            ([(1, 0, 0), (0, 2, 1), (0, 1, 3)], [0]),
+            # three rows tied at the least sum, and a fourth above one of them
+            ([(2, 0, 1), (0, 2, 1), (1, 1, 0), (3, 0, 0)], [2]),
+            # duplicate projections
+            ([(1, 0, 3), (1, 3, 0), (2, 1, 1), (0, 4, 4)], [1, 2]),
+            ([(0, 3), (1, 2), (3, 0)], []),
+            ([(0, 3), (1, 2), (3, 0)], [0, 1]),
+            # (TOP, TOP, 2) sums to 2**63, which wraps to the least int64
+            ([(TOP, TOP, 2), (0, 5, 3), (1, 0, TOP)], []),
+            ([(TOP, TOP, 2, 0), (0, 5, 3, 1), (1, 0, TOP, 0), (0, TOP, TOP, 0)], [3]),
+        ],
+    )
+    def test_screen_cases(self, gens, drop):
+        i = MonomialIdeal.from_generators(len(gens[0]), gens)
+        keep = [j for j in range(i.rank) if j not in drop]
+        want = sorted(brute_minimal([tuple(g[j] for j in keep) for g in i.generators]))
+        assert pullback_to_contraction(i, drop).generators == tuple(want)
+
+    @given(pareto_rows(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, rows, data):
+        # an antichain of rank 1 to 5 with entries up to 2**62 - 1, and any
+        # drop set, the empty and the full one included
+        gens = sorted(brute_minimal(rows.tolist()))
+        i = MonomialIdeal(rows.shape[1], gens)
+        drop = data.draw(st.sets(st.integers(0, i.rank - 1)))
+        keep = [j for j in range(i.rank) if j not in drop]
+        want = sorted(brute_minimal([tuple(g[j] for j in keep) for g in gens]))
+        got = pullback_to_contraction(i, drop)
+        assert got.rank == len(keep)
+        assert got.generators == tuple(want)
+
+    def test_census_digest(self):
+        # pins the bytes of the ideal layer: every ideal of the <=5-edge
+        # census at r = 1 (and r = 2 up to 4 edges), then its pullback to
+        # every coordinate subset, in census and combinations order
+        h = hashlib.sha256()
+        pulled = 0
+        for g in small_connected_graphs(5):
+            for r in (1, 2):
+                if r == 2 and len(g.sorted_edge_ids()) > 4:
+                    continue
+                base = richness_ideal(g, r)
+                h.update(repr((r, base.rows.tolist())).encode())
+                for k in range(base.rank + 1):
+                    for s in combinations(range(base.rank), k):
+                        h.update(repr(pullback_to_contraction(base, s).rows.tolist()).encode())
+                        pulled += 1
+        assert pulled == 4218
+        assert h.hexdigest()[:16] == "8bc29c182f3fc32d"
 
     def test_matches_recomputation(self):
         g = Graph.build([0, 1, 2], [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 1)])
